@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"time"
@@ -94,7 +93,8 @@ func main() {
 		coord.Install()
 		lg.Printf("serving on %s (cache: %s; lease-ttl %v, claim-budget %v)",
 			*serveAddr, cacheDesc(*cacheDir), *leaseTTL, *claimBudget)
-		if err := http.ListenAndServe(*serveAddr, serve.Handler(serve.Options{Coordinator: coord, Log: lg})); err != nil {
+		srv := serve.NewServer(*serveAddr, serve.Handler(serve.Options{Coordinator: coord, Log: lg}))
+		if err := srv.ListenAndServe(); err != nil {
 			fmt.Fprintln(os.Stderr, "pifssim:", err)
 			os.Exit(1)
 		}

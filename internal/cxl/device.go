@@ -8,9 +8,9 @@ import (
 )
 
 // Type3Device is a CXL memory expander: DDR DIMMs behind a CXL controller
-// (§II-B1). It exposes 64 B line reads/writes; larger row vectors are issued
-// as multiple line accesses by callers. The device adds the CXL controller's
-// share of the access penalty on top of raw DRAM service time.
+// (§II-B1). It serves row-vector reads arriving as KindDevRead messages,
+// each issued to DRAM as one batch of 64 B line requests, and adds the CXL
+// controller's share of the access penalty on top of raw DRAM service time.
 type Type3Device struct {
 	sim.NoWindowHooks
 
@@ -34,9 +34,9 @@ type Type3Device struct {
 	slowUntil   sim.Tick
 	slowExtraNS sim.Tick
 
-	// Message-mode wiring (sharded fabric): reads arrive as KindDevRead
-	// envelopes and the vector returns as a KindDevData message on reply.
-	// fnDone is stored once so completions allocate nothing.
+	// Wiring (Bind): reads arrive as KindDevRead envelopes and the vector
+	// returns as a KindDevData message on reply. fnDone is stored once so
+	// completions allocate nothing.
 	reply    *Link
 	vecBytes int
 	fnDone   func(int32, sim.Tick)
@@ -46,7 +46,7 @@ type Type3Device struct {
 	stats DeviceStats
 }
 
-// Device message kinds (switch <-> device over DSP links in mailbox mode).
+// Device message kinds (switch <-> device over DSP links).
 const (
 	// KindDevRead requests a row-vector read: A=device-local address,
 	// U0=requester token (echoed back verbatim).
@@ -132,42 +132,13 @@ func (d *Type3Device) Stats() DeviceStats { return d.stats }
 // DRAMStats returns the backing DRAM controller statistics.
 func (d *Type3Device) DRAMStats() dram.Stats { return d.ctl.Stats() }
 
-// Access performs one 64 B access at device-local address addr and calls
-// done when the data is available at the device's CXL port. The controller
-// overhead is folded into the batched completion, so the whole access costs
-// one engine event.
-func (d *Type3Device) Access(addr uint64, write bool, done func(at sim.Tick)) {
-	d.AccessVector(addr, 64, write, done)
-}
-
-// AccessVector performs a vecBytes-long row-vector access starting at addr,
-// split into 64 B line requests submitted as ONE controller batch: a single
-// completion counter tracks the lines and done fires once, a controller
-// overhead after the last line's data beat — no per-line Done chains or
-// intermediate events.
-func (d *Type3Device) AccessVector(addr uint64, vecBytes int, write bool, done func(at sim.Tick)) {
-	if done == nil {
-		panic("cxl: device access without completion callback")
-	}
+// Bind wires the device: vector reads requested via HandleMsg return as
+// KindDevData messages of vecBytes on reply (the device-owned DSP up-link).
+// vecBytes must be a positive multiple of the 64 B line.
+func (d *Type3Device) Bind(reply *Link, vecBytes int) {
 	if vecBytes <= 0 || vecBytes%64 != 0 {
 		panic(fmt.Sprintf("cxl: vector size %d not a positive multiple of 64", vecBytes))
 	}
-	if end := addr + uint64(vecBytes); end > uint64(d.Capacity()) || end < addr {
-		panic(fmt.Sprintf("cxl: device %d access [%#x, %#x) beyond capacity %#x", d.ID, addr, end, d.Capacity()))
-	}
-	lines := int64(vecBytes / 64)
-	if write {
-		d.stats.Writes += lines
-	} else {
-		d.stats.Reads += lines
-	}
-	d.ctl.SubmitRange(addr, vecBytes, write, d.ctrlNS, done)
-}
-
-// Bind wires the device for message mode: vector reads requested via
-// HandleMsg return as KindDevData messages of vecBytes on reply (the
-// device-owned DSP up-link).
-func (d *Type3Device) Bind(reply *Link, vecBytes int) {
 	d.reply = reply
 	d.vecBytes = vecBytes
 	d.fnDone = func(tok int32, _ sim.Tick) {
@@ -200,7 +171,7 @@ func (d *Type3Device) HandleMsg(env sim.Envelope) {
 	if d.slowUntil > d.eng.Now() {
 		extra += d.slowExtraNS
 	}
-	d.ctl.SubmitRangeCall(addr, d.vecBytes, false, extra, d.fnDone, env.P.U0)
+	d.ctl.SubmitRange(addr, d.vecBytes, false, extra, d.fnDone, env.P.U0)
 }
 
 // FaultDown opens (or extends) a fail window: requests arriving before until

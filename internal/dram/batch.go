@@ -9,24 +9,20 @@ import (
 // batchState tracks one in-flight batched operation: a single completion
 // counter over its line requests plus the latest data-beat time. When the
 // counter reaches zero the controller schedules ONE engine event (the slot's
-// preallocated fire thunk) that delivers done at last+extra — replacing the
-// per-line Done→eng.At→closure chains of the unbatched path. Slots recycle
-// through a free list, so steady-state batched traffic allocates nothing.
+// preallocated fire thunk) that delivers fnc(arg, at) at last+extra. fnc is
+// a func value the submitter stores once, so steady-state submits allocate
+// nothing; slots recycle through a free list.
 type batchState struct {
 	remaining int32
 	last      sim.Tick
 	extra     sim.Tick
-	done      func(at sim.Tick)
-	// Token completion alternative: fnc(arg, at) with a caller-stored func
-	// value, so steady-state submitters need not allocate a closure per
-	// batch (the zero-scratch bag dispatch path).
-	fnc  func(arg int32, at sim.Tick)
-	arg  int32
-	fire func() // allocated once per slot, reused across recycles
+	fnc       func(arg int32, at sim.Tick)
+	arg       int32
+	fire      func() // allocated once per slot, reused across recycles
 }
 
 // allocBatch returns an armed batch slot index.
-func (c *Controller) allocBatch(lines int, extra sim.Tick, done func(at sim.Tick), fnc func(int32, sim.Tick), arg int32) int32 {
+func (c *Controller) allocBatch(lines int, extra sim.Tick, fnc func(int32, sim.Tick), arg int32) int32 {
 	var id int32
 	if n := len(c.freeBatches); n > 0 {
 		id = c.freeBatches[n-1]
@@ -41,7 +37,6 @@ func (c *Controller) allocBatch(lines int, extra sim.Tick, done func(at sim.Tick
 	b.remaining = int32(lines)
 	b.last = 0
 	b.extra = extra
-	b.done = done
 	b.fnc = fnc
 	b.arg = arg
 	return id
@@ -62,19 +57,14 @@ func (c *Controller) lineIssued(batch int32, doneAt sim.Tick) {
 }
 
 // fireBatch releases the slot and delivers the completion. The slot is freed
-// before the callback runs so done may immediately submit a new batch that
+// before the callback runs so fnc may immediately submit a new batch that
 // reuses it.
 func (c *Controller) fireBatch(id int32) {
 	b := &c.batches[id]
-	done, fnc, arg, at := b.done, b.fnc, b.arg, b.last+b.extra
-	b.done = nil
+	fnc, arg, at := b.fnc, b.arg, b.last+b.extra
 	b.fnc = nil
 	c.freeBatches = append(c.freeBatches, id)
-	if fnc != nil {
-		fnc(arg, at)
-		return
-	}
-	done(at)
+	fnc(arg, at)
 }
 
 // InFlightBatches returns the number of armed, not-yet-completed batches
@@ -83,10 +73,9 @@ func (c *Controller) InFlightBatches() int {
 	return len(c.batches) - len(c.freeBatches)
 }
 
-// checkBatchArgs validates the shared SubmitRange/SubmitBatch contract;
-// exactly one of done / fnc carries the completion.
-func checkBatchArgs(bytes int, extra sim.Tick, done func(at sim.Tick), fnc func(int32, sim.Tick)) {
-	if done == nil && fnc == nil {
+// checkBatchArgs validates the shared SubmitRange/SubmitBatch contract.
+func checkBatchArgs(bytes int, extra sim.Tick, fnc func(int32, sim.Tick)) {
+	if fnc == nil {
 		panic("dram: batch submit without completion callback")
 	}
 	if bytes <= 0 || bytes%accessBytes != 0 {
@@ -97,12 +86,16 @@ func checkBatchArgs(bytes int, extra sim.Tick, done func(at sim.Tick), fnc func(
 	}
 }
 
-// submitRange is the shared body of the range-submit variants.
-func (c *Controller) submitRange(addr uint64, bytes int, isWrite bool, extraNS sim.Tick,
-	done func(at sim.Tick), fnc func(int32, sim.Tick), arg int32) {
-	checkBatchArgs(bytes, extraNS, done, fnc)
+// SubmitRange queues bytes/64 line requests covering [addr, addr+bytes) as
+// one batched operation. fnc(arg, at) fires exactly once, extraNS after the
+// batch's last data beat, with that completion time; the whole batch costs a
+// single engine event regardless of line count. A single line access is a
+// 64-byte range. fnc should be a value the caller stores once (a struct
+// field), so submitting costs no allocation.
+func (c *Controller) SubmitRange(addr uint64, bytes int, isWrite bool, extraNS sim.Tick, fnc func(int32, sim.Tick), arg int32) {
+	checkBatchArgs(bytes, extraNS, fnc)
 	lines := bytes / accessBytes
-	batch := c.allocBatch(lines, extraNS, done, fnc, arg)
+	batch := c.allocBatch(lines, extraNS, fnc, arg)
 	if c.split != nil {
 		for l := 0; l < lines; l++ {
 			c.stageSplitLine(addr + uint64(l*accessBytes))
@@ -115,15 +108,18 @@ func (c *Controller) submitRange(addr uint64, bytes int, isWrite bool, extraNS s
 	}
 }
 
-// submitBatch is the shared body of the scattered-batch submit variants.
-func (c *Controller) submitBatch(addrs []uint64, vecBytes int, isWrite bool, extraNS sim.Tick,
-	done func(at sim.Tick), fnc func(int32, sim.Tick), arg int32) {
-	checkBatchArgs(vecBytes, extraNS, done, fnc)
+// SubmitBatch queues vecBytes/64 line requests at each base address as one
+// batched operation with a single completion counter: fnc(arg, at) fires
+// once, extraNS after the last line of the last vector leaves the data bus.
+// It is the bag-granular entry point — one call covers every row vector of
+// an SLS bag with zero allocations. addrs is not retained.
+func (c *Controller) SubmitBatch(addrs []uint64, vecBytes int, isWrite bool, extraNS sim.Tick, fnc func(int32, sim.Tick), arg int32) {
+	checkBatchArgs(vecBytes, extraNS, fnc)
 	if len(addrs) == 0 {
 		panic("dram: SubmitBatch with no addresses")
 	}
 	lines := vecBytes / accessBytes
-	batch := c.allocBatch(len(addrs)*lines, extraNS, done, fnc, arg)
+	batch := c.allocBatch(len(addrs)*lines, extraNS, fnc, arg)
 	if c.split != nil {
 		for _, addr := range addrs {
 			for l := 0; l < lines; l++ {
@@ -138,35 +134,4 @@ func (c *Controller) submitBatch(addrs []uint64, vecBytes int, isWrite bool, ext
 			c.enqueueLine(addr+uint64(l*accessBytes), isWrite, batch)
 		}
 	}
-}
-
-// SubmitRange queues bytes/64 line requests covering [addr, addr+bytes) as
-// one batched operation. done fires exactly once, extraNS after the batch's
-// last data beat, with that completion time; the whole batch costs a single
-// engine event regardless of line count.
-func (c *Controller) SubmitRange(addr uint64, bytes int, isWrite bool, extraNS sim.Tick, done func(at sim.Tick)) {
-	c.submitRange(addr, bytes, isWrite, extraNS, done, nil, 0)
-}
-
-// SubmitRangeCall is SubmitRange with a token completion: fnc(arg, at) fires
-// once. fnc should be a value the caller stores once (a struct field), so
-// submitting costs no allocation.
-func (c *Controller) SubmitRangeCall(addr uint64, bytes int, isWrite bool, extraNS sim.Tick, fnc func(int32, sim.Tick), arg int32) {
-	c.submitRange(addr, bytes, isWrite, extraNS, nil, fnc, arg)
-}
-
-// SubmitBatch queues vecBytes/64 line requests at each base address as one
-// batched operation with a single completion counter: done fires once,
-// extraNS after the last line of the last vector leaves the data bus. It is
-// the bag-granular entry point — one call covers every row vector of an SLS
-// bag. addrs is not retained.
-func (c *Controller) SubmitBatch(addrs []uint64, vecBytes int, isWrite bool, extraNS sim.Tick, done func(at sim.Tick)) {
-	c.submitBatch(addrs, vecBytes, isWrite, extraNS, done, nil, 0)
-}
-
-// SubmitBatchCall is SubmitBatch with a token completion (see
-// SubmitRangeCall); the bag-dispatch path uses it so one SLS bag's local
-// rows go down with zero allocations.
-func (c *Controller) SubmitBatchCall(addrs []uint64, vecBytes int, isWrite bool, extraNS sim.Tick, fnc func(int32, sim.Tick), arg int32) {
-	c.submitBatch(addrs, vecBytes, isWrite, extraNS, nil, fnc, arg)
 }

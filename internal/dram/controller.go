@@ -6,16 +6,6 @@ import (
 	"pifsrec/internal/sim"
 )
 
-// Request is one 64 B access submitted to a Controller via Submit. Done
-// fires exactly once when the last data beat leaves (read) or is written
-// into the array (write), with the completion time. Submit copies the
-// request into the controller's pooled arena; the struct is not retained.
-type Request struct {
-	Addr    uint64
-	IsWrite bool
-	Done    func(at sim.Tick)
-}
-
 // request is one arena-resident line access. Requests are value-typed and
 // referenced by index: the per-channel queues hold ids, and slots recycle
 // through a free list the moment the line's column command issues, so the
@@ -172,22 +162,6 @@ func (b *ChannelBank) HandleMsg(env sim.Envelope) {
 
 // Stats returns this bank's own counters.
 func (b *ChannelBank) Stats() Stats { return b.ch.stats }
-
-// Submit queues a single line request. The request's Done callback is
-// required. Internally this is a batch of one line, so single and batched
-// submissions share one code path and completion times are identical.
-func (c *Controller) Submit(r *Request) {
-	if r.Done == nil {
-		panic("dram: request without Done callback")
-	}
-	batch := c.allocBatch(1, 0, r.Done, nil, 0)
-	if c.split != nil {
-		c.stageSplitLine(r.Addr)
-		c.flushSplit(batch, r.IsWrite)
-		return
-	}
-	c.enqueueLine(r.Addr, r.IsWrite, batch)
-}
 
 // ArenaSize returns the total request arena capacity across channels (for
 // reuse/leak tests).

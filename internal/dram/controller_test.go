@@ -11,9 +11,27 @@ func testController(geo Geometry, tim Timing) (*sim.Engine, *Controller) {
 	return eng, NewController(eng, geo, tim)
 }
 
+// line submits one 64 B access as a single-line range, the controller's
+// per-request entry point.
+func line(c *Controller, addr uint64, write bool, fn func(int32, sim.Tick)) {
+	c.SubmitRange(addr, accessBytes, write, 0, fn, 0)
+}
+
+// latest returns a completion sink that keeps the latest completion time.
+func latest(last *sim.Tick) func(int32, sim.Tick) {
+	return func(_ int32, at sim.Tick) {
+		if at > *last {
+			*last = at
+		}
+	}
+}
+
+// ignore is a completion sink for traffic whose timing a test does not read.
+func ignore(int32, sim.Tick) {}
+
 func readAt(eng *sim.Engine, c *Controller, addr uint64, at sim.Tick, out *sim.Tick) {
 	eng.At(at, func() {
-		c.Submit(&Request{Addr: addr, Done: func(done sim.Tick) { *out = done }})
+		line(c, addr, false, func(_ int32, done sim.Tick) { *out = done })
 	})
 }
 
@@ -74,12 +92,12 @@ func TestStreamingBandwidth(t *testing.T) {
 	var last sim.Tick
 	for i := 0; i < n; i++ {
 		addr := uint64(i * accessBytes)
-		c.Submit(&Request{Addr: addr, Done: func(done sim.Tick) {
+		line(c, addr, false, func(_ int32, done sim.Tick) {
 			remaining--
 			if done > last {
 				last = done
 			}
-		}})
+		})
 	}
 	eng.Run()
 	if remaining != 0 {
@@ -111,11 +129,7 @@ func TestRandomSlowerThanStreaming(t *testing.T) {
 			} else {
 				addr = uint64(i * accessBytes)
 			}
-			c.Submit(&Request{Addr: addr, Done: func(done sim.Tick) {
-				if done > last {
-					last = done
-				}
-			}})
+			line(c, addr, false, latest(&last))
 		}
 		eng.Run()
 		return float64(n*accessBytes) / float64(last)
@@ -130,7 +144,7 @@ func TestRandomSlowerThanStreaming(t *testing.T) {
 func TestWriteCompletes(t *testing.T) {
 	eng, c := testController(Table2Geometry(), DDR5_4800())
 	var done sim.Tick
-	c.Submit(&Request{Addr: 0, IsWrite: true, Done: func(at sim.Tick) { done = at }})
+	line(c, 0, true, func(_ int32, at sim.Tick) { done = at })
 	eng.Run()
 	if done == 0 {
 		t.Fatal("write never completed")
@@ -146,7 +160,7 @@ func TestDeterminism(t *testing.T) {
 		rng := sim.NewRNG(7)
 		for i := 0; i < 500; i++ {
 			addr := (rng.Uint64() % uint64(c.Geometry().Capacity())) &^ (accessBytes - 1)
-			c.Submit(&Request{Addr: addr, IsWrite: i%5 == 0, Done: func(sim.Tick) {}})
+			line(c, addr, i%5 == 0, ignore)
 		}
 		end := eng.Run()
 		return end, c.Stats()
@@ -167,11 +181,7 @@ func TestMoreChannelsMoreBandwidth(t *testing.T) {
 		const n = 2000
 		var last sim.Tick
 		for i := 0; i < n; i++ {
-			c.Submit(&Request{Addr: uint64(i * accessBytes), Done: func(done sim.Tick) {
-				if done > last {
-					last = done
-				}
-			}})
+			line(c, uint64(i*accessBytes), false, latest(&last))
 		}
 		eng.Run()
 		return float64(n*accessBytes) / float64(last)
@@ -195,11 +205,7 @@ func TestRefreshCostsBandwidth(t *testing.T) {
 		const n = 20000
 		var last sim.Tick
 		for i := 0; i < n; i++ {
-			c.Submit(&Request{Addr: uint64(i * accessBytes), Done: func(done sim.Tick) {
-				if done > last {
-					last = done
-				}
-			}})
+			line(c, uint64(i*accessBytes), false, latest(&last))
 		}
 		eng.Run()
 		return last
@@ -218,14 +224,13 @@ func TestRefreshCostsBandwidth(t *testing.T) {
 }
 
 func TestSubmitWithoutDonePanics(t *testing.T) {
-	eng, c := testController(Table2Geometry(), DDR5_4800())
-	_ = eng
+	_, c := testController(Table2Geometry(), DDR5_4800())
 	defer func() {
 		if recover() == nil {
-			t.Error("Submit without Done did not panic")
+			t.Error("SubmitRange without a completion sink did not panic")
 		}
 	}()
-	c.Submit(&Request{Addr: 0})
+	line(c, 0, false, nil)
 }
 
 func TestQueueDelayAccumulates(t *testing.T) {
@@ -236,7 +241,7 @@ func TestQueueDelayAccumulates(t *testing.T) {
 	l := geo.Map(0)
 	for i := 0; i < 50; i++ {
 		l.Row = i
-		c.Submit(&Request{Addr: geo.Unmap(l), Done: func(sim.Tick) {}})
+		line(c, geo.Unmap(l), false, ignore)
 	}
 	eng.Run()
 	st := c.Stats()
@@ -268,14 +273,14 @@ func TestFairnessNoStarvation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l := hitBase
 		l.Col = i
-		c.Submit(&Request{Addr: geo.Unmap(l), Done: func(sim.Tick) {}})
+		line(c, geo.Unmap(l), false, ignore)
 	}
-	c.Submit(&Request{Addr: geo.Unmap(other), Done: func(at sim.Tick) { bDone = at }})
+	line(c, geo.Unmap(other), false, func(_ int32, at sim.Tick) { bDone = at })
 	var lastHit sim.Tick
 	for i := 10; i < 200; i++ {
 		l := hitBase
 		l.Col = i % (geo.RowBytes / accessBytes)
-		c.Submit(&Request{Addr: geo.Unmap(l), Done: func(at sim.Tick) { lastHit = at }})
+		line(c, geo.Unmap(l), false, func(_ int32, at sim.Tick) { lastHit = at })
 	}
 	eng.Run()
 	if bDone == 0 {

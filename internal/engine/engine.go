@@ -685,8 +685,7 @@ func (s *system) wireLinks() {
 	}
 	if S > 1 {
 		// The inter-switch channels carry the extra forwarding latency of
-		// §VI-C4; requests and partial returns ride separate pipes, like the
-		// legacy pairwise duplexes.
+		// §VI-C4; requests and partial returns ride separate pipes.
 		for a := 0; a < S; a++ {
 			for b := 0; b < S; b++ {
 				if a == b {

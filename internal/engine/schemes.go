@@ -114,7 +114,7 @@ func (s *system) execBag(h *host, tag uint8) {
 		for i, addr := range sc.local {
 			sc.local[i] = nodeLocalAddr(addr, localCap)
 		}
-		h.localDRAM.SubmitBatchCall(sc.local, s.vecBytes, false, 0, h.fnLocalDone, int32(tag))
+		h.localDRAM.SubmitBatch(sc.local, s.vecBytes, false, 0, h.fnLocalDone, int32(tag))
 	}
 	if sc.remote == 0 {
 		return

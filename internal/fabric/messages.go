@@ -1,17 +1,12 @@
-// Message-mode switch: the sharded fabric's value-typed link protocol.
-//
-// In the sharded simulation every host, switch, and device group owns its
-// own engine shard, so the closure chains of the legacy path (a callback
-// captured on one component, executed on another) are replaced by
-// request/response messages routed through the shard mailboxes. Per-request
-// continuation state lives in a pooled arena of value-typed transfer records
-// (xfer); the record index is the token that threads through decode delays,
-// DSP round trips, and Process-Core completions — no per-event closures, no
+// The switch's link protocol. Every host, switch and device lives in a
+// placement group with its own engine, so the switch talks to them only by
+// request/response messages routed through the group mailboxes: no callback
+// captured on one component ever runs on another. Per-request continuation
+// state lives in a pooled arena of value-typed transfer records (xfer); the
+// record index is the token that threads through decode delays, DSP round
+// trips, and Process-Core completions — no per-event closures, no
 // steady-state allocation.
-//
-// The legacy closure API (BypassRead, PIFSFetch, ForwardFetch, ...) remains
-// for standalone component use and tests; a switch operates in exactly one
-// of the two modes.
+
 package fabric
 
 import (
@@ -72,7 +67,7 @@ type Net struct {
 	// DevDown, by this switch's local device index: the DSP down-link.
 	DevDown []*cxl.Link
 	// PeerReq/PeerRsp, by peer switch id: the instruction-forwarding and
-	// partial-return channels (mirroring the legacy pairwise duplexes).
+	// partial-return channels.
 	PeerReq []*cxl.Link
 	PeerRsp []*cxl.Link
 	// PeerHasCore, by switch id: the fabric's CNV bits, so the forwarding
@@ -85,7 +80,7 @@ type xfKind uint8
 
 const (
 	xfBypassRow xfKind = iota // decode→route→DSP, then KindRowData to host
-	xfConfig                  // decode delay before ConfigureTok
+	xfConfig                  // decode delay before Core.Configure
 	xfFetch                   // decode→buffer→DSP, then Core.Data
 	xfRawReply                // coreless peer fetch, then KindFwdReply
 	xfResult                  // core completion → KindPIFSResult to host
@@ -121,7 +116,7 @@ type FaultParams struct {
 	MaxRetries int32
 }
 
-// msgState is the switch's message-mode machinery.
+// msgState is the switch's link wiring and continuation-record arena.
 type msgState struct {
 	net  Net
 	recs []xfer
@@ -147,8 +142,9 @@ type msgState struct {
 	abortedClusters map[pifs.ClusterKey]struct{}
 }
 
-// BindNet switches the fabric switch into message mode and installs the
-// Process-Core completion sink. Call once at wiring time.
+// BindNet wires the switch's links and installs the Process-Core completion
+// sink. Call once at wiring time, before the switch is registered or sent
+// any message.
 func (s *Switch) BindNet(n Net) {
 	if s.msg != nil {
 		panic(fmt.Sprintf("fabric: switch %d already bound", s.cfg.ID))
@@ -235,7 +231,7 @@ func (s *Switch) HandleMsg(env sim.Envelope) {
 		m.recs[cfgTok] = xfer{kind: xfConfig, key: key, candidates: env.P.U1, srcTok: resTok}
 		s.eng.AtCall(now+s.cfg.DecodeNS, m.fnConfig, cfgTok)
 		for _, addr := range env.Addrs {
-			s.msgPIFSFetch(key, addr)
+			s.msgDataFetch(key, addr)
 		}
 
 	case KindPeerBatch:
@@ -273,9 +269,9 @@ func (s *Switch) HandleMsg(env sim.Envelope) {
 			resTok := m.alloc()
 			m.recs[resTok] = xfer{kind: xfPartial, key: subKey, dstSw: src, srcTok: env.P.U1}
 			s.stats.PIFSConfigs++
-			s.Core.ConfigureTok(subKey, len(env.Addrs), m.net.VecBytes, 0, resTok)
+			s.Core.Configure(subKey, len(env.Addrs), m.net.VecBytes, resTok)
 			for _, addr := range env.Addrs {
-				s.msgPIFSFetch(subKey, addr)
+				s.msgDataFetch(subKey, addr)
 			}
 			return
 		}
@@ -322,9 +318,9 @@ func (s *Switch) HandleMsg(env sim.Envelope) {
 	}
 }
 
-// msgPIFSFetch starts one DataFetch: decode (plus any translation-unit
+// msgDataFetch starts one DataFetch: decode (plus any translation-unit
 // serialization), buffer lookup, and on a miss the DSP round trip.
-func (s *Switch) msgPIFSFetch(key pifs.ClusterKey, addr uint64) {
+func (s *Switch) msgDataFetch(key pifs.ClusterKey, addr uint64) {
 	m := s.msg
 	s.stats.PIFSFetches++
 	tok := m.alloc()
@@ -405,7 +401,7 @@ func (s *Switch) abortRead(tok int32) {
 func (s *Switch) msgConfig(tok int32) {
 	m := s.msg
 	r := &m.recs[tok]
-	s.Core.ConfigureTok(r.key, int(r.candidates), m.net.VecBytes, 0, r.srcTok)
+	s.Core.Configure(r.key, int(r.candidates), m.net.VecBytes, r.srcTok)
 	m.release(tok)
 }
 

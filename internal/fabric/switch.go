@@ -3,14 +3,15 @@
 // its memory-indexing lookup table, the MemOpcode checker that routes
 // standard traffic down a bypass path and PIFS instructions to the Process
 // Core, per-device downstream-port links, the optional on-switch buffer, and
-// multi-switch instruction forwarding for scaled-out fabrics (§IV-C).
+// multi-switch instruction forwarding for scaled-out fabrics (§IV-C). The
+// switch exchanges every request and reply with hosts, devices and peer
+// switches as mailbox messages (messages.go).
 package fabric
 
 import (
 	"fmt"
 
 	"pifsrec/internal/cxl"
-	"pifsrec/internal/isa"
 	"pifsrec/internal/osb"
 	"pifsrec/internal/pifs"
 	"pifsrec/internal/sim"
@@ -89,19 +90,14 @@ type Switch struct {
 	Core   *pifs.Core  // nil when the CNV bit is clear
 	Buffer *osb.Buffer // nil without an on-switch buffer
 
-	devices []*cxl.Type3Device
-	dsp     []*cxl.Duplex
-
-	peers map[*Switch]*cxl.Duplex // this -> peer direction bundles
-
 	xlatFree sim.Tick // translation-unit occupancy (XlatPerFetchNS > 0)
 
 	// stallUntil parks the decode stage during a switch-stall fault window:
 	// arriving work is processed no earlier than the window's close.
 	stallUntil sim.Tick
 
-	// msg is the sharded-fabric message machinery (nil in legacy closure
-	// mode); see messages.go.
+	// msg is the switch's link wiring and pooled continuation records, set
+	// once by BindNet; see messages.go.
 	msg *msgState
 
 	stats Stats
@@ -113,7 +109,7 @@ func New(eng *sim.Engine, cfg Config) *Switch {
 	if cfg.Route == nil {
 		panic("fabric: switch without a Route")
 	}
-	s := &Switch{eng: eng, cfg: cfg, peers: make(map[*Switch]*cxl.Duplex)}
+	s := &Switch{eng: eng, cfg: cfg}
 	if cfg.HasCore {
 		s.Core = pifs.New(eng, cfg.Core)
 	}
@@ -132,9 +128,9 @@ func (s *Switch) PortID() uint16 { return s.cfg.PortID }
 // HasCore reports the CNV bit.
 func (s *Switch) HasCore() bool { return s.Core != nil }
 
-// DSPBandwidthGBs returns the resolved per-downstream-port bandwidth, so
-// external wiring (the sharded engine builds its own DSP and peer links)
-// uses the same figure as the switch's internal defaults.
+// DSPBandwidthGBs returns the resolved per-downstream-port bandwidth (the
+// default applied), the figure the wiring that builds the switch's DSP and
+// peer links must use.
 func (s *Switch) DSPBandwidthGBs() float64 { return s.cfg.DSPBandwidthGBs }
 
 // Stats returns a snapshot of counters.
@@ -168,136 +164,9 @@ func (s *Switch) CostWeight() float64 {
 	return w
 }
 
-// AttachDevice wires a Type 3 device behind a dedicated downstream port and
-// returns its device index on this switch.
-func (s *Switch) AttachDevice(dev *cxl.Type3Device) int {
-	idx := len(s.devices)
-	s.devices = append(s.devices, dev)
-	link := cxl.NewDuplex(s.eng, fmt.Sprintf("sw%d.dsp%d", s.cfg.ID, idx),
-		s.cfg.DSPBandwidthGBs, cxl.PortOverheadNS)
-	s.dsp = append(s.dsp, link)
-	return idx
-}
-
-// Devices returns the number of attached devices.
-func (s *Switch) Devices() int { return len(s.devices) }
-
-// Device returns an attached device by index.
-func (s *Switch) Device(i int) *cxl.Type3Device { return s.devices[i] }
-
-// DSPLink returns the downstream duplex for a device (for stats inspection).
-func (s *Switch) DSPLink(i int) *cxl.Duplex { return s.dsp[i] }
-
-// Connect wires this switch to a peer with a duplex inter-switch link in
-// each direction (fully connected fabrics call this pairwise). The link
-// carries the extra forwarding latency of §VI-C4.
-func (s *Switch) Connect(peer *Switch) {
-	if peer == s {
-		panic("fabric: switch connected to itself")
-	}
-	if _, dup := s.peers[peer]; dup {
-		return
-	}
-	s.peers[peer] = cxl.NewDuplex(s.eng, fmt.Sprintf("sw%d-sw%d", s.cfg.ID, peer.cfg.ID),
-		s.cfg.DSPBandwidthGBs, cxl.SwitchForwardNS)
-	peer.Connect(s)
-}
-
-// deviceRead fetches a row vector from an attached device through its DSP:
-// the repacked instruction goes down (one 16 B slot), the device performs
-// the DRAM accesses, and the data returns up the port. done fires when the
-// vector is available inside the switch.
-func (s *Switch) deviceRead(dev int, devAddr uint64, vecBytes int, done func(at sim.Tick)) {
-	if dev < 0 || dev >= len(s.devices) {
-		panic(fmt.Sprintf("fabric: switch %d has no device %d", s.cfg.ID, dev))
-	}
-	link := s.dsp[dev]
-	device := s.devices[dev]
-	link.Down.Send(isa.SlotBytes, func(sim.Tick) {
-		device.AccessVector(devAddr, vecBytes, false, func(sim.Tick) {
-			link.Up.Send(vecBytes, done)
-		})
-	})
-}
-
-// BypassRead serves a standard (non-PIFS) MemRd arriving at the switch: the
-// MemOpcode checker sends it straight to the VCS, the owning device's DSP
-// fetches the data, and done fires when the vector is back at the switch's
-// upstream side, ready for the host link. This is the Pond-style data path.
-func (s *Switch) BypassRead(addr uint64, vecBytes int, done func(at sim.Tick)) {
-	s.stats.BypassReads++
-	dev, devAddr := s.cfg.Route(addr)
-	s.eng.After(s.cfg.BypassNS, func() {
-		s.deviceRead(dev, devAddr, vecBytes, done)
-	})
-}
-
-// SubmitSlot decodes one encoded M2S slot and dispatches it, exercising the
-// real instruction path: standard reads bypass, DataFetch/Configuration go
-// to the Process Core. Results surface through the callbacks registered via
-// the cluster's Configure. For MemRd, done receives the data-at-switch time.
-func (s *Switch) SubmitSlot(slot isa.Slot, done func(at sim.Tick)) error {
-	in, err := isa.Decode(slot)
-	if err != nil {
-		return err
-	}
-	switch {
-	case in.Opcode == isa.OpMemRd:
-		s.BypassRead(in.Addr(), in.VecSize.Bytes(), done)
-		return nil
-	case in.Opcode == isa.OpConfig:
-		return fmt.Errorf("fabric: Configuration slots need a result callback; use PIFSConfigure")
-	case in.Opcode == isa.OpDataFetch:
-		s.PIFSFetch(pifs.ClusterKey{SPID: in.SPID, SumTag: in.SumTag}, in.Addr(), in.VecSize.Bytes())
-		return nil
-	default:
-		return fmt.Errorf("fabric: unsupported opcode %v", in.Opcode)
-	}
-}
-
-// PIFSConfigure programs an accumulation cluster (a host Configuration
-// instruction): candidates row vectors will arrive for key; onResult fires
-// when the accumulated sum has been dispatched into the egress queue.
-func (s *Switch) PIFSConfigure(key pifs.ClusterKey, candidates, vecBytes int, resultAddr uint64, onResult func(at sim.Tick)) {
-	if s.Core == nil {
-		panic(fmt.Sprintf("fabric: switch %d has no process core", s.cfg.ID))
-	}
-	s.stats.PIFSConfigs++
-	s.eng.After(s.cfg.DecodeNS, func() {
-		s.Core.Configure(key, candidates, vecBytes, resultAddr, onResult)
-	})
-}
-
-// PIFSFetch handles a host DataFetch instruction: decode, instruction
-// repacking (opcode -> MemRd, SPID -> switch), on-switch buffer lookup, and
-// on a miss the DSP round trip; the returning vector folds into the
-// cluster's partial sum on the Process Core.
-func (s *Switch) PIFSFetch(key pifs.ClusterKey, addr uint64, vecBytes int) {
-	if s.Core == nil {
-		panic(fmt.Sprintf("fabric: switch %d has no process core", s.cfg.ID))
-	}
-	s.stats.PIFSFetches++
-	s.eng.After(s.fetchDelay(), func() {
-		if s.Buffer != nil && s.Buffer.Access(addr, vecBytes) {
-			s.stats.BufferHits++
-			s.eng.After(s.Buffer.LatencyNS(), func() {
-				s.Core.Data(key)
-			})
-			return
-		}
-		if s.Buffer != nil {
-			s.stats.BufferMisses++
-		}
-		dev, devAddr := s.cfg.Route(addr)
-		s.deviceRead(dev, devAddr, vecBytes, func(sim.Tick) {
-			s.Core.Data(key)
-		})
-	})
-}
-
-// FaultStall opens (or extends) a stall window: message-mode work arriving
-// before until is decoded at the window's close instead of on arrival. Call
-// from a calendar event on the switch's group engine.
+// FaultStall opens (or extends) a stall window: work arriving before until
+// is decoded at the window's close instead of on arrival. Call from a
+// calendar event on the switch's group engine.
 func (s *Switch) FaultStall(until sim.Tick) {
 	if until > s.stallUntil {
 		s.stallUntil = until
@@ -330,14 +199,6 @@ func (s *Switch) fetchDelay() sim.Tick {
 	return delay
 }
 
-// InvalidateBuffer drops a row vector from the on-switch buffer (page
-// migration moved it); no-op without a buffer.
-func (s *Switch) InvalidateBuffer(addr uint64) {
-	if s.Buffer != nil {
-		s.Buffer.Invalidate(addr)
-	}
-}
-
 // InvalidateBufferRange drops every buffered row vector in [start, end) —
 // the migration hook's single range-granular call replacing a per-row loop.
 // It returns the number of vectors dropped; no-op without a buffer.
@@ -346,56 +207,4 @@ func (s *Switch) InvalidateBufferRange(start, end uint64) int {
 		return 0
 	}
 	return s.Buffer.InvalidateRange(start, end)
-}
-
-// ForwardFetch executes a row fetch on a peer switch close to the data
-// (§IV-C1): the instruction crosses the inter-switch link, the peer fetches
-// from its local device — using its own core and buffer when present
-// (CNV=1), or raw bypass otherwise (§IV-C2) — and the partial result
-// returns over the link. done fires when the vector is available on this
-// switch, ready to fold into the local cluster.
-//
-// subKey identifies the peer-side sub-accumulation; callers give each
-// (cluster, peer) pair a distinct sub-cluster and fold the returned partial
-// as a single candidate of the local cluster (Sub-SumCandidateCount).
-func (s *Switch) ForwardFetch(peer *Switch, subKey pifs.ClusterKey, addrs []uint64, vecBytes int, done func(at sim.Tick)) {
-	link, ok := s.peers[peer]
-	if !ok {
-		panic(fmt.Sprintf("fabric: switch %d not connected to switch %d", s.cfg.ID, peer.cfg.ID))
-	}
-	if len(addrs) == 0 {
-		panic("fabric: ForwardFetch with no addresses")
-	}
-	s.stats.Forwarded++
-
-	// The request instructions cross to the peer (one slot per row).
-	link.Down.Send(len(addrs)*isa.SlotBytes, func(sim.Tick) {
-		peer.stats.Received++
-		returnPartial := func(at sim.Tick) {
-			// One partial vector returns over the inter-switch link.
-			link.Up.Send(vecBytes, done)
-		}
-		if peer.HasCore() {
-			// The peer accumulates locally and ships one partial sum.
-			peer.PIFSConfigure(subKey, len(addrs), vecBytes, 0, returnPartial)
-			for _, a := range addrs {
-				peer.PIFSFetch(subKey, a, vecBytes)
-			}
-			return
-		}
-		// CNV=0 peer: raw reads return individually; this switch's side
-		// counts the full set as one candidate, so completion is when the
-		// last raw vector has crossed back.
-		remaining := len(addrs)
-		for _, a := range addrs {
-			peer.BypassRead(a, vecBytes, func(sim.Tick) {
-				link.Up.Send(vecBytes, func(at2 sim.Tick) {
-					remaining--
-					if remaining == 0 {
-						done(at2)
-					}
-				})
-			})
-		}
-	})
 }

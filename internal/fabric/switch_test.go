@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"strings"
 	"testing"
 
 	"pifsrec/internal/cxl"
@@ -15,127 +16,260 @@ func smallGeo() dram.Geometry {
 	return dram.Geometry{Channels: 2, Ranks: 1, BankGroups: 2, Banks: 2, Rows: 1024, RowBytes: 2048}
 }
 
-// testSwitch builds a switch with n devices and an identity-by-stripe route:
-// consecutive 4 KB frames round-robin across devices.
-func testSwitch(t *testing.T, eng *sim.Engine, cfg Config, n int) *Switch {
+// vecBytes is the row-vector size every rig is wired for.
+const vecBytes = 64
+
+// arrival is one message the stub host received.
+type arrival struct {
+	kind uint16
+	tag  uint8
+	flag uint8
+	at   sim.Tick
+}
+
+// stubHost is endpoint 0 of a rig: it records every KindRowData /
+// KindPIFSResult delivered to it.
+type stubHost struct {
+	sim.NoWindowHooks
+	got []arrival
+}
+
+func (h *stubHost) HandleMsg(env sim.Envelope) {
+	h.got = append(h.got, arrival{kind: env.P.Kind, tag: env.P.Tag, flag: env.P.Flag, at: env.At})
+}
+func (*stubHost) ComponentGroup() int32 { return 0 }
+func (*stubHost) CostWeight() float64   { return 1 }
+
+// rig is the 1-group harness the switch tests drive: a stub host, the
+// switches and their Type 3 devices all live on group 0 of one sharded
+// engine and talk only through bound links, wired the way the engine wires
+// a fabric — a host FlexBus pair per switch, a DSP pair per device, and
+// request/response channels between every ordered pair of switches.
+type rig struct {
+	se   *sim.ShardedEngine
+	eng  *sim.Engine
+	host *stubHost
+	sws  []*Switch
+	devs [][]*cxl.Type3Device
+	down []*cxl.Link // host -> switch w
+}
+
+// newRig builds one switch per config (its ID set to its index) with n
+// devices each. A config without a Route gets an identity-by-stripe route:
+// consecutive 4 KB frames round-robin across the switch's devices.
+func newRig(t *testing.T, cfgs []Config, n int) *rig {
 	t.Helper()
+	se := sim.NewSharded(1, cxl.PortOverheadNS)
+	se.NewGroup(0)
+	eng := se.Group(0)
+	r := &rig{se: se, eng: eng, host: &stubHost{}}
+	if ep := se.Register(r.host); ep != 0 {
+		t.Fatalf("host registered as endpoint %d", ep)
+	}
+	S := len(cfgs)
+	switchEp := func(w int) int32 { return int32(1 + w) }
+	deviceEp := func(w, i int) int32 { return int32(1 + S + w*n + i) }
+	link := func(name string, gbps float64, prop sim.Tick, dst int32) *cxl.Link {
+		l := cxl.NewLink(eng, name, gbps, prop)
+		l.Bind(se.Outbox(0), se.NewPort(), 0, dst)
+		return l
+	}
+
 	devCap := smallGeo().Capacity()
-	if cfg.Route == nil {
-		cfg.Route = func(addr uint64) (int, uint64) {
-			frame := addr / 4096
-			dev := int(frame) % n
-			local := (frame/uint64(n))*4096 + addr%4096
-			return dev, local % uint64(devCap)
+	hasCore := make([]bool, S)
+	for w, cfg := range cfgs {
+		cfg.ID = w
+		if cfg.Route == nil {
+			cfg.Route = func(addr uint64) (int, uint64) {
+				frame := addr / 4096
+				dev := int(frame) % n
+				local := (frame/uint64(n))*4096 + addr%4096
+				return dev, local % uint64(devCap)
+			}
+		}
+		sw := New(eng, cfg)
+		r.sws = append(r.sws, sw)
+		hasCore[w] = sw.HasCore()
+	}
+	nets := make([]Net, S)
+	for w, sw := range r.sws {
+		r.down = append(r.down, link("host.down", cxl.PCIe5x16GBs, cxl.PortOverheadNS, switchEp(w)))
+		nets[w] = Net{
+			VecBytes:    vecBytes,
+			HostUp:      []*cxl.Link{link("host.up", cxl.PCIe5x16GBs, cxl.PortOverheadNS, 0)},
+			PeerReq:     make([]*cxl.Link, S),
+			PeerRsp:     make([]*cxl.Link, S),
+			PeerHasCore: hasCore,
+		}
+		var devs []*cxl.Type3Device
+		for i := 0; i < n; i++ {
+			dev := cxl.NewType3(eng, cxl.DeviceConfig{
+				ID: w*n + i, PortID: uint16(100 + w*n + i), Geometry: smallGeo(), Timing: dram.DDR4_3200(),
+			})
+			bw := sw.DSPBandwidthGBs()
+			nets[w].DevDown = append(nets[w].DevDown, link("dsp.down", bw, cxl.PortOverheadNS, deviceEp(w, i)))
+			dev.Bind(link("dsp.up", bw, cxl.PortOverheadNS, switchEp(w)), vecBytes)
+			devs = append(devs, dev)
+		}
+		r.devs = append(r.devs, devs)
+		for p := range r.sws {
+			if p != w {
+				nets[w].PeerReq[p] = link("peer.req", sw.DSPBandwidthGBs(), cxl.SwitchForwardNS, switchEp(p))
+				nets[w].PeerRsp[p] = link("peer.rsp", sw.DSPBandwidthGBs(), cxl.SwitchForwardNS, switchEp(p))
+			}
 		}
 	}
-	s := New(eng, cfg)
-	for i := 0; i < n; i++ {
-		s.AttachDevice(cxl.NewType3(eng, cxl.DeviceConfig{
-			ID: i, PortID: uint16(100 + i), Geometry: smallGeo(), Timing: dram.DDR4_3200(),
-		}))
+	for w, sw := range r.sws {
+		sw.BindNet(nets[w])
+		if ep := se.Register(sw); ep != switchEp(w) {
+			t.Fatalf("switch %d registered as endpoint %d", w, ep)
+		}
 	}
-	return s
+	for w, devs := range r.devs {
+		for i, dev := range devs {
+			if ep := se.Register(dev); ep != deviceEp(w, i) {
+				t.Fatalf("device %d/%d registered as endpoint %d", w, i, ep)
+			}
+		}
+	}
+	return r
+}
+
+// bypass sends a standard MemRd for addr to switch w (Pond-style path).
+func (r *rig) bypass(w int, addr uint64, tag uint8) {
+	r.down[w].SendMsg(isa.SlotBytes, sim.Payload{Kind: KindBypassRow, A: addr, Tag: tag}, nil)
+}
+
+// stream sends switch w one Configuration slot for key plus a DataFetch per
+// address, as one batched instruction stream.
+func (r *rig) stream(w int, key pifs.ClusterKey, candidates int, tag uint8, addrs ...uint64) {
+	r.down[w].SendMsg(isa.SlotBytes*(1+len(addrs)), sim.Payload{
+		Kind: KindPIFSStream, B: PackKey(key), U1: int32(candidates), Tag: tag,
+	}, addrs)
+}
+
+// peerBatch asks switch w to forward fetches to peer, to be accumulated in
+// sub there and folded into key on w.
+func (r *rig) peerBatch(w, peer int, sub, key pifs.ClusterKey, addrs ...uint64) {
+	r.down[w].SendMsg(isa.SlotBytes*len(addrs), sim.Payload{
+		Kind: KindPeerBatch, A: PackKey(sub), B: PackKey(key), U0: int32(peer),
+	}, addrs)
+}
+
+// run drains the rig and checks every switch released its transfer records.
+func (r *rig) run(t *testing.T) {
+	t.Helper()
+	r.se.Run()
+	for _, sw := range r.sws {
+		if n := sw.InFlightRecords(); n != 0 {
+			t.Fatalf("switch %d leaked %d transfer records", sw.ID(), n)
+		}
+	}
+}
+
+// result returns the single arrival of the given kind and tag.
+func (r *rig) result(t *testing.T, kind uint16, tag uint8) arrival {
+	t.Helper()
+	var found []arrival
+	for _, a := range r.host.got {
+		if a.kind == kind && a.tag == tag {
+			found = append(found, a)
+		}
+	}
+	if len(found) != 1 {
+		t.Fatalf("host got %d messages of kind %#x tag %d, want 1 (all: %+v)", len(found), kind, tag, r.host.got)
+	}
+	return found[0]
 }
 
 func pifsCfg() Config {
-	return Config{ID: 0, PortID: 7, HasCore: true, Core: pifs.DefaultConfig()}
+	return Config{PortID: 7, HasCore: true, Core: pifs.DefaultConfig()}
 }
 
 func TestBypassReadCompletes(t *testing.T) {
-	eng := sim.NewEngine()
-	s := testSwitch(t, eng, Config{ID: 0}, 2)
-	var done sim.Tick
-	s.BypassRead(0, 64, func(at sim.Tick) { done = at })
-	eng.Run()
-	if done == 0 {
-		t.Fatal("bypass read never completed")
-	}
-	// Must include bypass latency, two port crossings, and DRAM time:
+	r := newRig(t, []Config{{}}, 2)
+	r.bypass(0, 0, 3)
+	r.run(t)
+	got := r.result(t, KindRowData, 3)
+	// Must include bypass latency, four port crossings, and DRAM time:
 	// well over the raw 100 ns CXL penalty.
-	if done < 100 {
-		t.Fatalf("bypass read %d ns implausibly fast", done)
+	if got.at < 100 {
+		t.Fatalf("bypass read %d ns implausibly fast", got.at)
 	}
-	if s.Stats().BypassReads != 1 {
+	if s := r.sws[0]; s.Stats().BypassReads != 1 {
 		t.Fatalf("stats = %+v", s.Stats())
 	}
 }
 
 func TestPIFSAccumulationRoundTrip(t *testing.T) {
-	eng := sim.NewEngine()
-	s := testSwitch(t, eng, pifsCfg(), 2)
+	r := newRig(t, []Config{pifsCfg()}, 2)
 	key := pifs.ClusterKey{SPID: 1, SumTag: 2}
-	var resultAt sim.Tick
-	s.PIFSConfigure(key, 4, 64, 0x8000, func(at sim.Tick) { resultAt = at })
-	for i := 0; i < 4; i++ {
-		s.PIFSFetch(key, uint64(i*4096), 64)
+	r.stream(0, key, 4, 2, 0, 4096, 8192, 12288)
+	r.run(t)
+	if got := r.result(t, KindPIFSResult, 2); got.flag != 0 {
+		t.Fatalf("result flagged degraded: %+v", got)
 	}
-	eng.Run()
-	if resultAt == 0 {
-		t.Fatal("accumulation never completed")
-	}
+	s := r.sws[0]
 	if s.Stats().PIFSFetches != 4 || s.Stats().PIFSConfigs != 1 {
 		t.Fatalf("stats = %+v", s.Stats())
 	}
 	if s.Core.Stats().RowsFolded != 4 {
 		t.Fatalf("core folded %d rows, want 4", s.Core.Stats().RowsFolded)
 	}
+	// One 64 B line per fetch, spread over both devices.
+	if reads := r.devs[0][0].Stats().Reads + r.devs[0][1].Stats().Reads; reads != 4 {
+		t.Fatalf("device reads = %d, want 4", reads)
+	}
 }
 
 func TestPIFSWithoutCorePanics(t *testing.T) {
-	eng := sim.NewEngine()
-	s := testSwitch(t, eng, Config{ID: 0}, 1)
+	r := newRig(t, []Config{{}}, 1)
 	defer func() {
-		if recover() == nil {
-			t.Error("PIFSFetch on CNV=0 switch did not panic")
+		if msg, _ := recover().(string); !strings.Contains(msg, "no process core") {
+			t.Errorf("KindPIFSStream on a CNV=0 switch: recovered %q, want a no-process-core panic", msg)
 		}
 	}()
-	s.PIFSFetch(pifs.ClusterKey{}, 0, 64)
+	r.sws[0].HandleMsg(sim.Envelope{
+		P:     sim.Payload{Kind: KindPIFSStream, B: PackKey(pifs.ClusterKey{}), U1: 1},
+		Addrs: []uint64{0},
+	})
 }
 
 func TestBufferHitSkipsDevice(t *testing.T) {
-	eng := sim.NewEngine()
 	cfg := pifsCfg()
 	cfg.BufferBytes = osb.MinCapacity
-	s := testSwitch(t, eng, cfg, 2)
-	key := pifs.ClusterKey{SumTag: 1}
-	// Prime: first access misses and inserts.
-	s.PIFSConfigure(key, 2, 64, 0, func(sim.Tick) {})
-	s.PIFSFetch(key, 4096, 64)
-	s.PIFSFetch(key, 4096, 64)
-	eng.Run()
-	st := s.Stats()
+	r := newRig(t, []Config{cfg}, 2)
+	// The first fetch misses and inserts; the second hits.
+	r.stream(0, pifs.ClusterKey{SumTag: 1}, 2, 1, 4096, 4096)
+	r.run(t)
+	r.result(t, KindPIFSResult, 1)
+	st := r.sws[0].Stats()
 	if st.BufferHits != 1 || st.BufferMisses != 1 {
 		t.Fatalf("buffer hits/misses = %d/%d, want 1/1", st.BufferHits, st.BufferMisses)
 	}
 	// Device saw exactly one vector's worth of reads (64 B = 1 line).
-	reads := s.Device(0).Stats().Reads + s.Device(1).Stats().Reads
-	if reads != 1 {
+	if reads := r.devs[0][0].Stats().Reads + r.devs[0][1].Stats().Reads; reads != 1 {
 		t.Fatalf("device reads = %d, want 1 (second access served by buffer)", reads)
 	}
 }
 
 func TestBufferHitLatencyLower(t *testing.T) {
+	// Warm the address once, then time a second cluster fetching it again,
+	// issued well after the first has drained.
+	const secondAt = 10_000
 	run := func(buffered bool) sim.Tick {
-		eng := sim.NewEngine()
 		cfg := pifsCfg()
 		if buffered {
 			cfg.BufferBytes = osb.MinCapacity
 		}
-		s := testSwitch(t, eng, cfg, 1)
-		key := pifs.ClusterKey{SumTag: 1}
-		// Warm once, then time the second round.
-		var warmDone sim.Tick
-		s.PIFSConfigure(key, 1, 64, 0, func(at sim.Tick) { warmDone = at })
-		s.PIFSFetch(key, 0, 64)
-		eng.Run()
-		key2 := pifs.ClusterKey{SumTag: 2}
-		var second sim.Tick
-		start := eng.Now()
-		s.PIFSConfigure(key2, 1, 64, 0, func(at sim.Tick) { second = at })
-		s.PIFSFetch(key2, 0, 64)
-		eng.Run()
-		_ = warmDone
-		return second - start
+		r := newRig(t, []Config{cfg}, 1)
+		r.stream(0, pifs.ClusterKey{SumTag: 1}, 1, 1, 0)
+		r.eng.At(secondAt, func() { r.stream(0, pifs.ClusterKey{SumTag: 2}, 1, 2, 0) })
+		r.run(t)
+		if warm := r.result(t, KindPIFSResult, 1); warm.at >= secondAt {
+			t.Fatalf("warm-up finished at %d, after the timed round started", warm.at)
+		}
+		return r.result(t, KindPIFSResult, 2).at - secondAt
 	}
 	hot := run(true)
 	cold := run(false)
@@ -144,75 +278,22 @@ func TestBufferHitLatencyLower(t *testing.T) {
 	}
 }
 
-func TestSubmitSlotDispatch(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := pifsCfg()
-	s := testSwitch(t, eng, cfg, 1)
-
-	// Standard read through the encoded-slot path.
-	rd := isa.Instruction{Valid: true, Opcode: isa.OpMemRd, VecSize: 2 /* 64 B */}
-	slot, err := rd.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var done sim.Tick
-	if err := s.SubmitSlot(slot, func(at sim.Tick) { done = at }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if done == 0 {
-		t.Fatal("slot-submitted read never completed")
-	}
-
-	// DataFetch through the slot path folds into a configured cluster.
-	key := pifs.ClusterKey{SPID: 9, SumTag: 3}
-	completed := false
-	s.PIFSConfigure(key, 1, 64, 0, func(sim.Tick) { completed = true })
-	df, err := isa.NewDataFetch(1, 4096, 9, 3, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slot2, _ := df.Encode()
-	if err := s.SubmitSlot(slot2, nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if !completed {
-		t.Fatal("slot-submitted DataFetch never folded")
-	}
-
-	// Invalid slot rejected.
-	if err := s.SubmitSlot(isa.Slot{}, nil); err == nil {
-		t.Error("invalid slot accepted")
-	}
-}
-
 func TestForwardFetchWithCorePeer(t *testing.T) {
-	eng := sim.NewEngine()
-	local := testSwitch(t, eng, pifsCfg(), 1)
 	remoteCfg := pifsCfg()
-	remoteCfg.ID = 1
 	remoteCfg.PortID = 8
-	remote := testSwitch(t, eng, remoteCfg, 1)
-	local.Connect(remote)
+	r := newRig(t, []Config{pifsCfg(), remoteCfg}, 1)
+	local, remote := r.sws[0], r.sws[1]
 
-	key := pifs.ClusterKey{SPID: 1, SumTag: 1}
-	var resultAt sim.Tick
 	// Local cluster: 2 local rows + 1 sub-sum from the remote switch.
-	local.PIFSConfigure(key, 3, 64, 0, func(at sim.Tick) { resultAt = at })
-	local.PIFSFetch(key, 0, 64)
-	local.PIFSFetch(key, 4096, 64)
+	key := pifs.ClusterKey{SPID: 1, SumTag: 1}
 	sub := pifs.ClusterKey{SPID: 1, SumTag: 63} // sub-cluster on the remote
-	local.ForwardFetch(remote, sub, []uint64{0, 4096, 8192}, 64, func(sim.Tick) {
-		local.Core.Data(key)
-	})
-	eng.Run()
-	if resultAt == 0 {
-		t.Fatal("scaled-out accumulation never completed")
-	}
+	r.stream(0, key, 3, 1, 0, 4096)
+	r.peerBatch(0, 1, sub, key, 0, 4096, 8192)
+	r.run(t)
+	got := r.result(t, KindPIFSResult, 1)
 	// Forwarding latency must include two inter-switch crossings.
-	if resultAt < 2*cxl.SwitchForwardNS {
-		t.Fatalf("result at %d ns, too fast for two switch hops", resultAt)
+	if got.at < 2*cxl.SwitchForwardNS {
+		t.Fatalf("result at %d ns, too fast for two switch hops", got.at)
 	}
 	if local.Stats().Forwarded != 1 || remote.Stats().Received != 1 {
 		t.Fatal("forward counters wrong")
@@ -220,102 +301,74 @@ func TestForwardFetchWithCorePeer(t *testing.T) {
 	if remote.Core.Stats().RowsFolded != 3 {
 		t.Fatalf("remote folded %d rows, want 3", remote.Core.Stats().RowsFolded)
 	}
+	// The peer's pre-accumulated partial folds locally as one candidate.
+	if local.Core.Stats().RowsFolded != 3 {
+		t.Fatalf("local folded %d rows, want 2 local + 1 partial", local.Core.Stats().RowsFolded)
+	}
 }
 
 func TestForwardFetchToCorelessPeer(t *testing.T) {
-	eng := sim.NewEngine()
-	local := testSwitch(t, eng, pifsCfg(), 1)
-	dumbCfg := Config{ID: 2}
-	dumb := testSwitch(t, eng, dumbCfg, 1)
-	local.Connect(dumb)
+	r := newRig(t, []Config{pifsCfg(), {}}, 1)
+	local, dumb := r.sws[0], r.sws[1]
 
+	// The CNV=0 peer cannot pre-accumulate: all three raw vectors come back,
+	// and the forwarding switch folds the set as one candidate once the last
+	// has crossed.
 	key := pifs.ClusterKey{SumTag: 5}
-	done := false
-	// All three raw vectors come back; they count as 3 candidates locally
-	// because the CNV=0 peer cannot pre-accumulate.
-	local.PIFSConfigure(key, 3, 64, 0, func(sim.Tick) { done = true })
-	local.ForwardFetch(dumb, pifs.ClusterKey{}, []uint64{0, 4096, 8192}, 64, func(sim.Tick) {
-		// With a compute-less peer, done fires once after the last vector;
-		// fold all three.
-		local.Core.Data(key)
-		local.Core.Data(key)
-		local.Core.Data(key)
-	})
-	eng.Run()
-	if !done {
-		t.Fatal("coreless-peer accumulation never completed")
+	r.stream(0, key, 1, 5)
+	r.peerBatch(0, 1, pifs.ClusterKey{}, key, 0, 4096, 8192)
+	r.run(t)
+	r.result(t, KindPIFSResult, 5)
+	if dumb.Stats().BypassReads != 3 || dumb.Stats().Received != 1 {
+		t.Fatalf("peer stats = %+v, want 3 bypass reads of 1 forwarded batch", dumb.Stats())
 	}
-	if dumb.Stats().BypassReads != 3 {
-		t.Fatalf("peer bypass reads = %d, want 3", dumb.Stats().BypassReads)
+	if local.Stats().Forwarded != 1 || local.Core.Stats().RowsFolded != 1 {
+		t.Fatalf("local forwarded %d batches, folded %d rows; want 1/1",
+			local.Stats().Forwarded, local.Core.Stats().RowsFolded)
 	}
-}
-
-func TestConnectIsSymmetricAndIdempotent(t *testing.T) {
-	eng := sim.NewEngine()
-	a := testSwitch(t, eng, pifsCfg(), 1)
-	bCfg := pifsCfg()
-	bCfg.ID = 1
-	b := testSwitch(t, eng, bCfg, 1)
-	a.Connect(b)
-	a.Connect(b) // second connect must be a no-op
-	if len(a.peers) != 1 || len(b.peers) != 1 {
-		t.Fatalf("peer counts %d/%d, want 1/1", len(a.peers), len(b.peers))
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("self-connect accepted")
-			}
-		}()
-		a.Connect(a)
-	}()
 }
 
 func TestInvalidateBuffer(t *testing.T) {
-	eng := sim.NewEngine()
 	cfg := pifsCfg()
 	cfg.BufferBytes = osb.MinCapacity
-	s := testSwitch(t, eng, cfg, 1)
-	key := pifs.ClusterKey{SumTag: 1}
-	s.PIFSConfigure(key, 1, 64, 0, func(sim.Tick) {})
-	s.PIFSFetch(key, 0, 64)
-	eng.Run()
-	if !s.Buffer.Contains(0) {
-		t.Fatal("vector not cached after miss")
+	r := newRig(t, []Config{cfg, {}}, 1)
+	s := r.sws[0]
+	r.stream(0, pifs.ClusterKey{SumTag: 1}, 2, 1, 0, 4096)
+	r.run(t)
+	if !s.Buffer.Contains(0) || !s.Buffer.Contains(4096) {
+		t.Fatal("vectors not cached after miss")
 	}
-	s.InvalidateBuffer(0)
-	if s.Buffer.Contains(0) {
-		t.Fatal("vector survived invalidation")
+	if n := s.InvalidateBufferRange(0, 4096); n != 1 {
+		t.Fatalf("invalidated %d vectors in [0, 4096), want 1", n)
+	}
+	if s.Buffer.Contains(0) || !s.Buffer.Contains(4096) {
+		t.Fatal("range invalidation dropped the wrong vectors")
 	}
 	// No-op on a coreless, bufferless switch.
-	plain := testSwitch(t, eng, Config{ID: 9}, 1)
-	plain.InvalidateBuffer(0)
+	if n := r.sws[1].InvalidateBufferRange(0, 1<<20); n != 0 {
+		t.Fatalf("bufferless switch invalidated %d vectors", n)
+	}
 }
 
 func TestConcurrentClustersInterleaveOnCore(t *testing.T) {
-	eng := sim.NewEngine()
 	cfg := pifsCfg()
 	cfg.Core.Lanes = 1 // single lane so interleaved clusters must swap
-	s := testSwitch(t, eng, cfg, 1)
-	completions := 0
+	r := newRig(t, []Config{cfg}, 2)
+	// Cluster 0 reads even frames (device 0), cluster 1 odd frames (device
+	// 1): the two devices return in parallel, so vectors of the two
+	// clusters reach the core interleaved.
 	for tag := 0; tag < 2; tag++ {
-		key := pifs.ClusterKey{SumTag: uint8(tag)}
-		s.PIFSConfigure(key, 4, 64, 0, func(sim.Tick) { completions++ })
-	}
-	// Alternate fetches between the two clusters on a single device: its
-	// serial completion order forces the core to flip sumtags every row.
-	for i := 0; i < 4; i++ {
-		for tag := 0; tag < 2; tag++ {
-			key := pifs.ClusterKey{SumTag: uint8(tag)}
-			s.PIFSFetch(key, uint64((i*2+tag)*4096), 64)
+		var addrs []uint64
+		for i := 0; i < 4; i++ {
+			addrs = append(addrs, uint64((i*2+tag)*4096))
 		}
+		r.stream(0, pifs.ClusterKey{SumTag: uint8(tag)}, 4, uint8(tag), addrs...)
 	}
-	eng.Run()
-	if completions != 2 {
-		t.Fatalf("completions = %d, want 2", completions)
-	}
+	r.run(t)
+	r.result(t, KindPIFSResult, 0)
+	r.result(t, KindPIFSResult, 1)
 	// Interleaved device completions should have exercised tag switching.
-	if s.Core.Stats().TagSwitches == 0 {
+	if r.sws[0].Core.Stats().TagSwitches == 0 {
 		t.Error("no tag switches despite interleaved clusters")
 	}
 }

@@ -24,18 +24,21 @@ func TestRunUnknownID(t *testing.T) {
 	}
 }
 
+// TestEveryExperimentProducesATable checks each experiment's table on the
+// uncached sweep it shares with TestMemoizedTablesByteIdentical
+// (baselineTables).
 func TestEveryExperimentProducesATable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness sweep is slow")
 	}
+	tables, errs := baselineTables(t)
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			var b strings.Builder
-			if err := Run(id, &b); err != nil {
+			if err := errs[id]; err != nil {
 				t.Fatal(err)
 			}
-			out := b.String()
+			out := tables[id]
 			if !strings.Contains(out, "==") || len(out) < 100 {
 				t.Fatalf("suspiciously small output:\n%s", out)
 			}

@@ -48,12 +48,17 @@ func diffTables(t *testing.T, want, got map[string]string, phase string) {
 // over the full experiment set: tables are byte-identical with no cache,
 // with a cold cache, with a warm cache, and after an unrelated config has
 // been cached in between — memoization is visible only in wall clock and
-// counters. Every simulated job in the warm pass must hit.
+// counters. Every simulated job in the warm pass must hit. The uncached
+// pass is also pinned against the committed golden digests.
 func TestMemoizedTablesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep (x3) in -short mode")
 	}
-	baseline := renderAll(t)
+	baseline, errs := baselineTables(t)
+	if len(errs) != 0 {
+		t.Fatalf("uncached sweep failed: %v", errs)
+	}
+	checkGolden(t, baseline)
 
 	store, err := memo.Open(t.TempDir())
 	if err != nil {

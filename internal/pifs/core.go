@@ -87,16 +87,13 @@ type Stats struct {
 // index; a slot stays allocated until its completion event fires, then
 // recycles — steady-state cluster turnover allocates nothing.
 type cluster struct {
-	key        ClusterKey
-	remaining  int
-	vecBytes   int
-	resultAddr uint64
-	// Completion is either a legacy closure (component tests, standalone
-	// use) or a token delivered to the installed sink (the switch's pooled
-	// result records). Exactly one is set.
-	onComplete func(at sim.Tick)
-	tok        int32
-	inSwapReg  bool
+	key       ClusterKey
+	remaining int
+	vecBytes  int
+	// tok is delivered to the installed completion sink when the cluster
+	// finishes (the switch's pooled result record).
+	tok       int32
+	inSwapReg bool
 }
 
 // Core is the Process Core. Like the rest of the simulator it is
@@ -115,7 +112,7 @@ type Core struct {
 	clusters []cluster
 	freeCl   []int32
 
-	// sink receives token completions; fireFn is the one stored func value
+	// sink receives cluster completions; fireFn is the one stored func value
 	// the completion events dispatch through.
 	sink   func(tok int32, at sim.Tick)
 	fireFn func(int32)
@@ -148,8 +145,9 @@ func New(eng *sim.Engine, cfg Config) *Core {
 	return c
 }
 
-// SetCompletionSink installs the token-completion receiver used by
-// ConfigureTok clusters. The switch installs one function at wiring time;
+// SetCompletionSink installs the receiver of cluster completions: each
+// finished cluster is delivered as fn(tok, at) with the token it was
+// configured with. The switch installs one function at wiring time;
 // per-cluster state rides in the token.
 func (c *Core) SetCompletionSink(fn func(tok int32, at sim.Tick)) { c.sink = fn }
 
@@ -175,27 +173,13 @@ func (c *Core) allocCluster() int32 {
 
 // Configure programs a new accumulation cluster: candidates row vectors of
 // vecBytes each will arrive for key; when the SumCandidateCounter reaches
-// zero, onComplete fires with the dispatch time. If the ACR is full the
-// request queues (back-pressure) and is admitted in FIFO order as clusters
-// complete.
-func (c *Core) Configure(key ClusterKey, candidates, vecBytes int, resultAddr uint64, onComplete func(at sim.Tick)) {
-	if onComplete == nil {
-		panic("pifs: Configure without completion callback")
-	}
-	c.configure(key, candidates, vecBytes, resultAddr, onComplete, -1)
-}
-
-// ConfigureTok programs a cluster whose completion is delivered as
-// sink(tok, at) — the closure-free path the switch's pooled result records
-// ride on. A completion sink must be installed.
-func (c *Core) ConfigureTok(key ClusterKey, candidates, vecBytes int, resultAddr uint64, tok int32) {
+// zero, the completion sink receives (tok, dispatch time). If the ACR is
+// full the request queues (back-pressure) and is admitted in FIFO order as
+// clusters complete. A completion sink must be installed.
+func (c *Core) Configure(key ClusterKey, candidates, vecBytes int, tok int32) {
 	if c.sink == nil {
-		panic("pifs: ConfigureTok without a completion sink")
+		panic("pifs: Configure without a completion sink")
 	}
-	c.configure(key, candidates, vecBytes, resultAddr, nil, tok)
-}
-
-func (c *Core) configure(key ClusterKey, candidates, vecBytes int, resultAddr uint64, onComplete func(at sim.Tick), tok int32) {
 	if candidates <= 0 {
 		panic(fmt.Sprintf("pifs: cluster %v with %d candidates", key, candidates))
 	}
@@ -210,8 +194,6 @@ func (c *Core) configure(key ClusterKey, candidates, vecBytes int, resultAddr ui
 	cl.key = key
 	cl.remaining = candidates
 	cl.vecBytes = vecBytes
-	cl.resultAddr = resultAddr
-	cl.onComplete = onComplete
 	cl.tok = tok
 	cl.inSwapReg = false
 	if len(c.active) >= c.cfg.ACRCapacity {
@@ -365,13 +347,7 @@ func (c *Core) complete(id int32, at sim.Tick) {
 // fireCompletion delivers a completed cluster's result at its dispatch time
 // and recycles the arena slot.
 func (c *Core) fireCompletion(id int32) {
-	cl := &c.clusters[id]
-	done, tok := cl.onComplete, cl.tok
-	cl.onComplete = nil
+	tok := c.clusters[id].tok
 	c.freeCl = append(c.freeCl, id)
-	if done != nil {
-		done(c.eng.Now())
-		return
-	}
 	c.sink(tok, c.eng.Now())
 }

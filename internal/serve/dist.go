@@ -34,7 +34,6 @@ package serve
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -558,6 +557,9 @@ const (
 	maxLeaseWait    = 30 * time.Second
 	maxResultBytes  = 256 << 20
 	leaseRecheckDur = 250 * time.Millisecond
+	// maxLeaseBodyBytes caps a decoded lease poll; RunWorker's polls are
+	// under 100 bytes.
+	maxLeaseBodyBytes = 4 << 10
 )
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -566,8 +568,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req leaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding lease request: %v", err)
+	if !decodeBody(w, r, maxLeaseBodyBytes, "lease request", &req) {
 		return
 	}
 	if req.Worker == "" {

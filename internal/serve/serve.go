@@ -28,12 +28,15 @@
 //
 // The HTTP layer compresses responses for clients that accept gzip and
 // accepts gzip-compressed request bodies, so multi-MB simulate sweeps and
-// result posts don't dominate on the wire.
+// result posts don't dominate on the wire. JSON request bodies are capped
+// on their decoded size (413 past the cap), and NewServer bounds how long a
+// client may take to send a request.
 package serve
 
 import (
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -179,6 +182,53 @@ func Handler(o Options) http.Handler {
 		h = withRequestLog(o.Log, c, h)
 	}
 	return h
+}
+
+// Read-side timeouts of the server NewServer builds. There is deliberately
+// no WriteTimeout: /v1/run sweeps and lease long-polls (up to maxLeaseWait)
+// legitimately hold a response open for seconds. ReadTimeout covers the
+// body too, so it leaves room for a result post near maxResultBytes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewServer returns the HTTP server for h on addr that pifssim -serve runs:
+// a client that stalls sending headers or a body, or parks an idle
+// keep-alive connection, is cut off instead of holding a goroutine forever.
+func NewServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// maxSimulateBodyBytes caps a decoded /v1/simulate body. One ConfigSpec
+// encodes in about 250 bytes, so the cap holds over ten thousand configs;
+// the clients in this repository send one per request.
+const maxSimulateBodyBytes = 4 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes.
+// withGzip has already swapped in the decompressing reader, so the cap
+// applies to the decoded size. On failure it writes the response — 413 past
+// the cap, 400 otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	err := json.NewDecoder(r.Body).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", what, limit)
+		return false
+	}
+	writeError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
+	return false
 }
 
 // jobEndpoint answers a job-board route, or 503 when the service runs
@@ -395,8 +445,7 @@ func handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Configs []ConfigSpec `json:"configs"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, maxSimulateBodyBytes, "request", &req) {
 		return
 	}
 	if len(req.Configs) == 0 {
