@@ -31,7 +31,6 @@ func main() {
 		"numasim implementation for fig5/fig6: analytic (closed form) or event (component simulation; see numasim-parity)")
 	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory (created if missing; warm sweeps re-simulate only configs the cache has never seen)")
 	shards := flag.Int("shards", 0, "engine shards per simulation (0 = split the pool's cores automatically; clamped per config to its component-group count; results are identical at any count)")
-	placement := flag.String("placement", "", "dynamic placement flavor for every job: affinity (traffic-aware co-location, the default) or weight (weight-only LPT); pure scheduling, tables are identical either way")
 	coordinator := flag.String("coordinator", "", "sweep-service base URL (e.g. http://host:8080): fetch tables via GET /v1/run instead of simulating locally (the service's worker fleet and cache do the work; tables are byte-identical)")
 	flag.Parse()
 
@@ -42,13 +41,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pifsbench: -shards %d must be at least 1 (or 0 for the automatic core split)\n", *shards)
 		os.Exit(2)
 	}
-	switch *placement {
-	case "", "affinity", "weight":
-	default:
-		fmt.Fprintf(os.Stderr, "pifsbench: unknown -placement %q (have affinity, weight)\n", *placement)
-		os.Exit(2)
-	}
-	harness.SetJobScheduling(*shards, *placement)
+	harness.SetJobScheduling(*shards)
 
 	// The cache directory is probed before any sweep starts: a path that
 	// cannot be created or written is a usage error now, not a degraded

@@ -44,8 +44,7 @@ func main() {
 	switches := flag.Int("switches", 1, "fabric switches (PIFS-Rec only)")
 	hosts := flag.Int("hosts", 1, "concurrent hosts")
 	buffer := flag.Int("buffer", 512<<10, "on-switch buffer bytes (PIFS-Rec)")
-	shards := flag.Int("shards", 1, "engine shards (conservative-window intra-sim parallelism; results are identical at any count and placement)")
-	placement := flag.String("placement", "affinity", "dynamic placement flavor: affinity (traffic-aware co-location) or weight (weight-only LPT); pure scheduling, results are identical either way")
+	shards := flag.Int("shards", 1, "engine shards (conservative-window intra-sim parallelism; results are identical at any count)")
 	splitBanks := flag.Bool("split-banks", false, "run every DRAM channel bank on its own placement group (models per-bank hop latency — a different machine, so results differ from the fused default)")
 	faults := flag.String("faults", "", "fault-injection plan (JSON file; see internal/fault)")
 	scenarioFile := flag.String("scenario", "", "open-loop arrival scenario (JSON file; see internal/scenario) — adds tail-latency and goodput-under-SLO reporting")
@@ -171,12 +170,6 @@ func main() {
 			*shards, groups, groups)
 		os.Exit(2)
 	}
-	switch *placement {
-	case "affinity", "weight":
-	default:
-		fmt.Fprintf(os.Stderr, "pifssim: unknown -placement %q (have affinity, weight)\n", *placement)
-		os.Exit(2)
-	}
 
 	var m pifsrec.ModelConfig
 	found := false
@@ -243,19 +236,18 @@ func main() {
 	}
 
 	res, err := pifsrec.Simulate(pifsrec.Config{
-		Scheme:        pifsrec.Scheme(*scheme),
-		Model:         m,
-		Trace:         tr,
-		Devices:       *devices,
-		Switches:      *switches,
-		Hosts:         *hosts,
-		Shards:        *shards,
-		PlacementMode: *placement,
-		SplitBanks:    *splitBanks,
-		BufferBytes:   *buffer,
-		Faults:        plan,
-		Scenario:      sc,
-		Seed:          1,
+		Scheme:      pifsrec.Scheme(*scheme),
+		Model:       m,
+		Trace:       tr,
+		Devices:     *devices,
+		Switches:    *switches,
+		Hosts:       *hosts,
+		Shards:      *shards,
+		SplitBanks:  *splitBanks,
+		BufferBytes: *buffer,
+		Faults:      plan,
+		Scenario:    sc,
+		Seed:        1,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pifssim:", err)
@@ -274,8 +266,8 @@ func main() {
 	if s.Envelopes > 0 {
 		crossPct = 100 * float64(s.CrossShardEnvelopes) / float64(s.Envelopes)
 	}
-	fmt.Printf("sched: %d workers (%s); %d envelopes, %d cross-shard (%.1f%%)\n",
-		s.Workers, *placement, s.Envelopes, s.CrossShardEnvelopes, crossPct)
+	fmt.Printf("sched: %d workers; %d envelopes, %d cross-shard (%.1f%%)\n",
+		s.Workers, s.Envelopes, s.CrossShardEnvelopes, crossPct)
 	fmt.Printf("sched: %d windows run, %d elided; fired share %s\n",
 		s.WindowsRun, s.WindowsElided, firedShare(s.WorkerFiredShare))
 	if sc != nil && !sc.Empty() {

@@ -63,29 +63,12 @@ type Config struct {
 	Hosts int
 
 	// Shards is the number of parallel engine workers the simulation runs
-	// on (default 1). Hosts, switches, and devices are component groups
-	// placed onto workers by greedy cost-balanced bin-packing (static
-	// weights refined by measured per-window event counts) and advance in
-	// conservative time windows bounded by the minimum CXL link latency, so
-	// a big configuration scales across cores. Results are byte-identical
-	// at every shard count and under every placement.
+	// on (default 1). Hosts, switches, and devices are component groups,
+	// placed once per run onto workers by greedy cost-balanced bin-packing
+	// of their static weights, and advance in conservative time windows
+	// bounded by the minimum CXL link latency. Results are byte-identical
+	// at every shard count.
 	Shards int
-
-	// Placement overrides the default cost-balanced dynamic placement with
-	// a static policy (groups -> workers). Placement is pure scheduling —
-	// results never depend on it; the property tests exploit this field to
-	// prove it. Nil selects the default. Excluded from the JSON form (a
-	// func type has no wire representation); jobs carrying one are not
-	// distributable and run on the coordinator.
-	Placement sim.PlacementPolicy `json:"-"`
-
-	// PlacementMode selects the dynamic placement flavor: "" or "affinity"
-	// (the default) co-locates chatty group pairs along the measured
-	// traffic-affinity EMA subject to the cost-balance bound; "weight" is
-	// the weight-only LPT baseline. Ignored when Placement is set. Pure
-	// scheduling — results are byte-identical under every mode — so it is
-	// NOT part of the canonical config encoding.
-	PlacementMode string
 
 	// SplitBanks moves every DRAM channel bank (host DIMM populations and
 	// CXL device controllers alike) onto its own placement group: submits
@@ -212,11 +195,6 @@ func (c *Config) fillDefaults() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("engine: negative shard count %d", c.Shards)
 	}
-	switch c.PlacementMode {
-	case "", "affinity", "weight":
-	default:
-		return fmt.Errorf("engine: unknown placement mode %q (want affinity or weight)", c.PlacementMode)
-	}
 	if c.LocalFraction == 0 {
 		c.LocalFraction = 0.125
 	}
@@ -322,7 +300,7 @@ type Result struct {
 
 	// Sched is the run's scheduling-quality report (cross-shard envelopes,
 	// windows run/elided, per-worker fired share). Deterministic for a fixed
-	// (config, shards, placement) but NOT shard-count-invariant: invariance
+	// (config, shards) but NOT shard-count-invariant: invariance
 	// comparisons and the memo cache zero it before use.
 	Sched sim.SchedStats
 }

@@ -27,11 +27,10 @@ var configMagic = [8]byte{'P', 'I', 'F', 'S', 'C', 'F', 'G', 0 + configEncodingV
 // explicit default encode identically and an invalid config is an error
 // here rather than a bogus cache key.
 //
-// Shards, Placement, PlacementMode, and DisableBarrierElision are
-// deliberately NOT part of the identity: results are byte-identical at
-// every shard count and under every placement policy and scheduling flavor
-// (the determinism gates from the sharded-engine and component-model work),
-// so they are scheduling decisions, not inputs. SplitBanks IS encoded — it
+// Shards and DisableBarrierElision are deliberately NOT part of the
+// identity: results are byte-identical at every shard count and with
+// elision on or off (the determinism gates from the sharded-engine and
+// component-model work), so they are scheduling decisions, not inputs. SplitBanks IS encoded — it
 // changes the simulated machine (per-bank hop latency), not just its
 // schedule. The trace contributes its content hash (trace.Trace.Hash), not
 // its bytes.

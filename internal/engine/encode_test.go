@@ -10,7 +10,6 @@ import (
 
 	"pifsrec/internal/fault"
 	"pifsrec/internal/scenario"
-	"pifsrec/internal/sim"
 	"pifsrec/internal/trace"
 )
 
@@ -65,9 +64,10 @@ func TestCanonicalBinaryNormalizes(t *testing.T) {
 	}
 }
 
-// TestCanonicalBinaryExcludesScheduling asserts Shards and Placement do not
-// change the identity: results are byte-identical at every shard count and
-// placement (the determinism gates), so they are scheduling, not input.
+// TestCanonicalBinaryExcludesScheduling asserts Shards and
+// DisableBarrierElision do not change the identity: results are
+// byte-identical at every shard count and with elision on or off (the
+// determinism gates), so they are scheduling, not input.
 func TestCanonicalBinaryExcludesScheduling(t *testing.T) {
 	base := baseEncodeConfig(t)
 	want := encodeConfig(t, base)
@@ -77,10 +77,10 @@ func TestCanonicalBinaryExcludesScheduling(t *testing.T) {
 	if !bytes.Equal(want, encodeConfig(t, sharded)) {
 		t.Error("Shards changed the canonical encoding; it must stay a scheduling decision")
 	}
-	placed := base
-	placed.Placement = sim.RoundRobinPlacement
-	if !bytes.Equal(want, encodeConfig(t, placed)) {
-		t.Error("Placement changed the canonical encoding; it must stay a scheduling decision")
+	noElide := base
+	noElide.DisableBarrierElision = true
+	if !bytes.Equal(want, encodeConfig(t, noElide)) {
+		t.Error("DisableBarrierElision changed the canonical encoding; it must stay a scheduling decision")
 	}
 }
 

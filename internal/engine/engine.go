@@ -41,10 +41,10 @@ const (
 // placement groups — each host with its local DRAM channel banks and
 // caches, each switch with its core and buffer, each CXL device with its
 // controller and banks — and every group owns a private engine the sharded
-// coordinator places onto workers by cost-balanced bin-packing (static
-// component weights refined by measured per-window event counts). Groups
-// interact only through value-typed mailbox messages whose latency is at
-// least the window width, so a window's events in different groups are
+// coordinator places onto workers once per run by cost-balanced
+// bin-packing of the static component weights. Groups interact only
+// through value-typed mailbox messages whose latency is at least the
+// window width, so a window's events in different groups are
 // causally independent; results are byte-identical at any worker count and
 // under any placement, including the 1-worker reference.
 //
@@ -373,10 +373,6 @@ func deviceGeometry() dram.Geometry {
 func build(cfg Config) (*system, error) {
 	s := &system{cfg: cfg}
 	s.se = sim.NewSharded(shardCount(cfg), cxl.PortOverheadNS)
-	if cfg.Placement != nil {
-		s.se.SetPlacement(cfg.Placement)
-	}
-	s.se.SetAffinityPlacement(cfg.PlacementMode != "weight")
 	// One placement group per host, switch, and device, in endpoint order;
 	// weights accrue as components register.
 	for g := 0; g < cfg.Hosts+cfg.Switches+cfg.Devices; g++ {

@@ -42,10 +42,11 @@ func handPlan(horizon int64) *fault.Plan {
 	}}
 }
 
-// TestFaultDeterminismAcrossShardsAndPlacements is the tentpole property:
-// with a plan covering every fault kind (both a hand-built one and a Chaos
-// one), the Result is byte-identical at shard counts 1/2/4 under every
-// adversarial placement policy.
+// TestFaultDeterminismAcrossShardsAndPlacements is the fault-layer form of
+// the placement property: with a plan covering every fault kind (both a
+// hand-built one and a Chaos one), the Result is byte-identical to the
+// 1-shard run at every checkPlacementInvariant shard count, elision on and
+// off.
 func TestFaultDeterminismAcrossShardsAndPlacements(t *testing.T) {
 	m := dlrm.RMC4().Scaled(64)
 	tr := matrixTrace(t, trace.MetaLike, m)
@@ -69,21 +70,7 @@ func TestFaultDeterminismAcrossShardsAndPlacements(t *testing.T) {
 			base.LinkFaultStallNS == 0 && base.DeviceDropped == 0 {
 			t.Errorf("%s: plan had no observable effect; windows missed the run", name)
 		}
-		for _, n := range []int{2, 4} {
-			for _, pp := range placementPolicies() {
-				placed := faulted
-				placed.Shards = n
-				placed.Placement = pp.policy
-				r, err := Run(placed)
-				if err != nil {
-					t.Fatalf("%s shards=%d %s: %v", name, n, pp.name, err)
-				}
-				if !reflect.DeepEqual(noSched(base), noSched(r)) {
-					t.Errorf("%s: shards=%d placement=%s diverged:\n  base: %#v\n  got:  %#v",
-						name, n, pp.name, base, r)
-				}
-			}
-		}
+		checkPlacementInvariant(t, name, faulted, base)
 	}
 }
 

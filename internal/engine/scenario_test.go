@@ -10,7 +10,7 @@ import (
 )
 
 // openLoopBase returns a multi-switch, multi-host configuration (the same
-// shape as the affinity gate's) plus its measured closed-loop capacity in
+// shape as multiSwitchConfig) plus its measured closed-loop capacity in
 // bags per second — the natural unit for picking open-loop rates that sit
 // below or above the knee without hard-coding this machine's service times.
 func openLoopBase(t *testing.T) (Config, float64) {
@@ -56,7 +56,8 @@ func TestOpenLoopScenarioSmoke(t *testing.T) {
 	// No SLO: every (non-degraded) completion counts, and there are no
 	// faults to degrade any.
 	if lat.SLONS != 0 || lat.WithinSLO != lat.Requests || lat.GoodputQPS <= 0 {
-		t.Fatalf("SLO accounting wrong without an SLO: %+v", lat)	}
+		t.Fatalf("SLO accounting wrong without an SLO: %+v", lat)
+	}
 }
 
 // TestOpenLoopTailGrowsWithLoad is the knee in miniature: the same system
@@ -82,11 +83,11 @@ func TestOpenLoopTailGrowsWithLoad(t *testing.T) {
 
 // TestScenarioDeterminismProperty is the scenario-determinism gate: for
 // every generator kind, identical specs produce byte-identical latency
-// tables (the full Result modulo Sched) across shard counts 1/2/4, every
-// placement policy and dynamic mode, and elision on/off. Arrival times are
-// precomputed from the spec before any sharding decision, completions are
-// shard-invariant by the engine's standing contract, and per-host sketches
-// merge in host order — this test is the proof.
+// tables (the full Result modulo Sched) at every checkPlacementInvariant
+// shard count, with elision on and off. Arrival times are precomputed from
+// the spec before any sharding decision, completions are shard-invariant by
+// the engine's standing contract, and per-host sketches merge in host order
+// — this test is the proof.
 func TestScenarioDeterminismProperty(t *testing.T) {
 	cfg, capQPS := openLoopBase(t)
 	tmp := t.TempDir()
@@ -112,37 +113,7 @@ func TestScenarioDeterminismProperty(t *testing.T) {
 				t.Fatalf("base run tracked %d of %d requests",
 					want.Latency.Requests, len(cfg.Trace.Bags))
 			}
-			for _, shards := range []int{1, 2, 4} {
-				for _, pol := range placementPolicies() {
-					c := base
-					c.Shards = shards
-					c.Placement = pol.policy
-					got, err := Run(c)
-					if err != nil {
-						t.Fatalf("shards=%d policy=%s: %v", shards, pol.name, err)
-					}
-					if !reflect.DeepEqual(noSched(got), noSched(want)) {
-						t.Fatalf("shards=%d policy=%s: latency table diverged:\n got %+v\nwant %+v",
-							shards, pol.name, got.Latency, want.Latency)
-					}
-				}
-				for _, mode := range []string{"affinity", "weight"} {
-					for _, noElide := range []bool{false, true} {
-						c := base
-						c.Shards = shards
-						c.PlacementMode = mode
-						c.DisableBarrierElision = noElide
-						got, err := Run(c)
-						if err != nil {
-							t.Fatalf("shards=%d mode=%s elide-off=%v: %v", shards, mode, noElide, err)
-						}
-						if !reflect.DeepEqual(noSched(got), noSched(want)) {
-							t.Fatalf("shards=%d mode=%s elide-off=%v: latency table diverged:\n got %+v\nwant %+v",
-								shards, mode, noElide, got.Latency, want.Latency)
-						}
-					}
-				}
-			}
+			checkPlacementInvariant(t, string(sp.Kind), base, want)
 		})
 	}
 }

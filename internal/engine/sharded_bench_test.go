@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pifsrec/internal/dlrm"
-	"pifsrec/internal/sim"
 	"pifsrec/internal/trace"
 )
 
@@ -31,7 +30,7 @@ func BenchmarkBagDispatch(b *testing.B) {
 // BenchmarkShardedBigConfig runs one Fig 13a-class configuration (PIFS-Rec,
 // Zipfian trace, 8 devices, short epochs) at increasing shard counts. The
 // tables are byte-identical at every count; the wall-clock ratio between
-// sub-benchmarks is the intra-simulation scaling this PR adds. On a
+// sub-benchmarks is the intra-simulation scaling. On a
 // single-core runner the >1 shard rows only measure windowing overhead.
 func BenchmarkShardedBigConfig(b *testing.B) {
 	m := dlrm.RMC4().Scaled(64)
@@ -51,31 +50,6 @@ func BenchmarkShardedBigConfig(b *testing.B) {
 			cfg := Config{
 				Scheme: PIFSRec, Model: m, Trace: tr, Seed: 3,
 				Devices: 8, EpochBags: 16, Shards: n,
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	// Placement matrix at the widest shard count: the dynamic cost-balanced
-	// default against static round-robin (PR 3's dealing) and a worst-case
-	// single-worker pile-up. Tables are byte-identical across rows; the
-	// wall-clock ratios are what the cost model buys.
-	placements := []struct {
-		name   string
-		policy sim.PlacementPolicy
-	}{
-		{"balanced", nil},
-		{"round-robin", sim.RoundRobinPlacement},
-		{"one-worker", sim.OneWorkerPlacement},
-	}
-	for _, pl := range placements {
-		b.Run(fmt.Sprintf("shards=4/place=%s", pl.name), func(b *testing.B) {
-			cfg := Config{
-				Scheme: PIFSRec, Model: m, Trace: tr, Seed: 3,
-				Devices: 8, EpochBags: 16, Shards: 4, Placement: pl.policy,
 			}
 			for i := 0; i < b.N; i++ {
 				if _, err := Run(cfg); err != nil {

@@ -5,7 +5,7 @@ package engine
 // shard count — sharding is a scheduling decision, never a modelling one.
 
 import (
-	"math/rand"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -93,46 +93,39 @@ func TestShardCountInvariantScaleOut(t *testing.T) {
 	}
 }
 
-// placementPolicies returns adversarial static placements: everything on
-// one worker, weights ignored in reverse deal order, and seeded random
-// assignments — the shapes a placement bug would be most likely to expose.
-func placementPolicies() []struct {
-	name   string
-	policy sim.PlacementPolicy
-} {
-	random := func(seed int64) sim.PlacementPolicy {
-		return func(weights []float64, workers int) []int32 {
-			rng := rand.New(rand.NewSource(seed))
-			out := make([]int32, len(weights))
-			for g := range out {
-				out[g] = int32(rng.Intn(workers))
+// checkPlacementInvariant runs cfg at 2, 3 and 4 shards and at one shard
+// per component group (every group alone on a worker, the most-split
+// placement the engine can make), each with barrier elision on and off, and
+// requires every Result to equal base, the 1-shard reference, bit for bit
+// (Sched aside). Placement and elision are pure scheduling — any divergence
+// means mid-window shared state leaked between groups.
+func checkPlacementInvariant(t *testing.T, name string, cfg Config, base Result) {
+	t.Helper()
+	for _, n := range []int{2, 3, 4, cfg.ComponentGroups()} {
+		for _, noElide := range []bool{false, true} {
+			run := cfg
+			run.Shards = n
+			run.DisableBarrierElision = noElide
+			r, err := Run(run)
+			if err != nil {
+				t.Fatalf("%s shards=%d elide=%v: %v", name, n, !noElide, err)
 			}
-			return out
+			if !reflect.DeepEqual(noSched(base), noSched(r)) {
+				t.Errorf("%s: shards=%d elide=%v diverged:\n  base: %#v\n  got:  %#v",
+					name, n, !noElide, base, r)
+			}
+			if noElide && r.Sched.WindowsElided != 0 {
+				t.Errorf("%s: shards=%d: %d windows elided with elision disabled",
+					name, n, r.Sched.WindowsElided)
+			}
 		}
-	}
-	return []struct {
-		name   string
-		policy sim.PlacementPolicy
-	}{
-		{"all-on-one", sim.OneWorkerPlacement},
-		{"reverse-deal", func(weights []float64, workers int) []int32 {
-			out := make([]int32, len(weights))
-			for g := range out {
-				out[g] = int32((len(weights) - 1 - g) % workers)
-			}
-			return out
-		}},
-		{"random-7", random(7)},
-		{"random-99", random(99)},
 	}
 }
 
 // TestPlacementInvariantProperty is the placement-independence property
-// test: the same configurations as the scale-out matrix, run at several
-// worker counts under every adversarial placement policy, must produce
-// Results identical to the 1-worker cost-balanced reference. Placement is
-// pure scheduling — any divergence means mid-window shared state leaked
-// between groups.
+// test: the same configurations as the scale-out matrix must produce
+// Results identical to the 1-shard reference at every shard count and
+// elision setting checkPlacementInvariant runs.
 func TestPlacementInvariantProperty(t *testing.T) {
 	m := dlrm.RMC4().Scaled(64)
 	tr, err := trace.Generate(trace.Spec{
@@ -157,52 +150,13 @@ func TestPlacementInvariantProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", ci, err)
 		}
-		for _, n := range []int{2, 3, 4} {
-			for _, pp := range placementPolicies() {
-				placed := cfg
-				placed.Shards = n
-				placed.Placement = pp.policy
-				r, err := Run(placed)
-				if err != nil {
-					t.Fatalf("case %d shards=%d %s: %v", ci, n, pp.name, err)
-				}
-				if !reflect.DeepEqual(noSched(base), noSched(r)) {
-					t.Errorf("case %d: shards=%d placement=%s diverged:\n  base: %#v\n  got:  %#v",
-						ci, n, pp.name, base, r)
-				}
-			}
-			// Dynamic-placement flavors and barrier elision are pure
-			// scheduling too: both modes, with and without elision, must
-			// match the 1-shard reference bit for bit.
-			for _, mode := range []string{"affinity", "weight"} {
-				for _, noElide := range []bool{false, true} {
-					variant := cfg
-					variant.Shards = n
-					variant.PlacementMode = mode
-					variant.DisableBarrierElision = noElide
-					r, err := Run(variant)
-					if err != nil {
-						t.Fatalf("case %d shards=%d mode=%s elide=%v: %v", ci, n, mode, !noElide, err)
-					}
-					if !reflect.DeepEqual(noSched(base), noSched(r)) {
-						t.Errorf("case %d: shards=%d mode=%s elide=%v diverged:\n  base: %#v\n  got:  %#v",
-							ci, n, mode, !noElide, base, r)
-					}
-					if noElide && r.Sched.WindowsElided != 0 {
-						t.Errorf("case %d: shards=%d mode=%s: %d windows elided with elision disabled",
-							ci, n, mode, r.Sched.WindowsElided)
-					}
-				}
-			}
-		}
+		checkPlacementInvariant(t, fmt.Sprintf("case %d", ci), cfg, base)
 	}
 }
 
-// affinityGateConfig is the multi-switch configuration behind the affinity
-// hop-count gate and the CI regression check: enough groups (2 hosts + 2
-// switches + 8 devices) that placement has real freedom, with traffic
-// concentrated on host-switch-device paths the packer can co-locate.
-func affinityGateConfig(t *testing.T) Config {
+// multiSwitchConfig is a multi-switch configuration (2 hosts + 2 switches +
+// 8 devices) with enough groups that placement has real freedom.
+func multiSwitchConfig(t *testing.T) Config {
 	t.Helper()
 	m := dlrm.RMC4().Scaled(64)
 	tr, err := trace.Generate(trace.Spec{
@@ -216,56 +170,12 @@ func affinityGateConfig(t *testing.T) Config {
 		Switches: 2, Devices: 8, Hosts: 2, HostParallelism: 8}
 }
 
-// TestAffinityCutsCrossShardTraffic is the gating check of the traffic-
-// affinity packer: on the multi-switch configuration, affinity placement
-// must route no more cross-shard envelopes than weight-only LPT at shards 2
-// and 4 — and at least 25% fewer at shards 2 — while producing the
-// identical simulation Result (placement is pure scheduling).
-func TestAffinityCutsCrossShardTraffic(t *testing.T) {
-	cfg := affinityGateConfig(t)
-	base, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{2, 4} {
-		byMode := map[string]Result{}
-		for _, mode := range []string{"affinity", "weight"} {
-			run := cfg
-			run.Shards = n
-			run.PlacementMode = mode
-			r, err := Run(run)
-			if err != nil {
-				t.Fatalf("shards=%d mode=%s: %v", n, mode, err)
-			}
-			if !reflect.DeepEqual(noSched(base), noSched(r)) {
-				t.Errorf("shards=%d mode=%s diverged from the 1-shard reference", n, mode)
-			}
-			byMode[mode] = r
-		}
-		aff, wt := byMode["affinity"].Sched, byMode["weight"].Sched
-		if aff.Envelopes != wt.Envelopes {
-			t.Fatalf("shards=%d: envelope totals differ (affinity %d, weight %d)", n, aff.Envelopes, wt.Envelopes)
-		}
-		if aff.CrossShardEnvelopes > wt.CrossShardEnvelopes {
-			t.Errorf("shards=%d: affinity cross-shard envelopes %d exceed weight-only %d",
-				n, aff.CrossShardEnvelopes, wt.CrossShardEnvelopes)
-		}
-		if n == 2 {
-			if limit := wt.CrossShardEnvelopes * 3 / 4; aff.CrossShardEnvelopes > limit {
-				t.Errorf("shards=2: affinity cross-shard envelopes %d above the 25%%-drop gate (weight-only %d, limit %d)",
-					aff.CrossShardEnvelopes, wt.CrossShardEnvelopes, limit)
-			}
-		}
-	}
-}
-
 // TestSplitBanksDeterminism pins the per-bank shard-engine machine: split
 // banks change the simulated system (one window of submit/complete latency
 // per channel hop), so results differ from the default wiring — but within
-// the split machine they stay byte-identical at every shard count,
-// placement mode, and adversarial static placement.
+// the split machine they stay byte-identical at every shard count.
 func TestSplitBanksDeterminism(t *testing.T) {
-	cfg := affinityGateConfig(t)
+	cfg := multiSwitchConfig(t)
 	fused, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -282,32 +192,7 @@ func TestSplitBanksDeterminism(t *testing.T) {
 	if groups, fusedGroups := split.ComponentGroups(), cfg.ComponentGroups(); groups <= fusedGroups {
 		t.Errorf("split ComponentGroups() = %d, want more than the fused %d", groups, fusedGroups)
 	}
-	for _, n := range []int{2, 3, 4} {
-		for _, mode := range []string{"affinity", "weight"} {
-			run := split
-			run.Shards = n
-			run.PlacementMode = mode
-			r, err := Run(run)
-			if err != nil {
-				t.Fatalf("split shards=%d mode=%s: %v", n, mode, err)
-			}
-			if !reflect.DeepEqual(noSched(base), noSched(r)) {
-				t.Errorf("split banks: shards=%d mode=%s diverged from the 1-shard split reference", n, mode)
-			}
-		}
-		for _, pp := range placementPolicies() {
-			run := split
-			run.Shards = n
-			run.Placement = pp.policy
-			r, err := Run(run)
-			if err != nil {
-				t.Fatalf("split shards=%d placement=%s: %v", n, pp.name, err)
-			}
-			if !reflect.DeepEqual(noSched(base), noSched(r)) {
-				t.Errorf("split banks: shards=%d placement=%s diverged", n, pp.name)
-			}
-		}
-	}
+	checkPlacementInvariant(t, "split banks", split, base)
 }
 
 // TestBarrierElisionFiresAndStaysInvisible checks the empty-barrier fast
@@ -350,8 +235,8 @@ func TestBarrierElisionFiresAndStaysInvisible(t *testing.T) {
 
 // TestCostBalancedPlacementSeesWeights checks the cost model's plumbing:
 // group weights accrue from components and their DRAM channel banks, so a
-// host group (12 DDR5 banks) seeds heavier than a device group (4 DDR4
-// banks), and measured refinement leaves costs positive after a run.
+// host group (12 DDR5 banks) weighs more than a device group (4 DDR4
+// banks).
 func TestCostBalancedPlacementSeesWeights(t *testing.T) {
 	m := dlrm.RMC1().Scaled(8)
 	m.Tables = 4
@@ -378,15 +263,6 @@ func TestCostBalancedPlacementSeesWeights(t *testing.T) {
 	}
 	if swW <= 0 || devW <= 0 {
 		t.Errorf("non-positive group weights: switch %.1f device %.1f", swW, devW)
-	}
-	for _, h := range s.hosts {
-		h.pump()
-	}
-	s.se.Run()
-	for g := 0; g < s.se.Groups(); g++ {
-		if s.se.MeasuredCost(g) < 0 {
-			t.Errorf("group %d measured cost went negative: %v", g, s.se.MeasuredCost(g))
-		}
 	}
 }
 

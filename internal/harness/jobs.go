@@ -173,25 +173,20 @@ func CacheStats() memo.Stats {
 	return memoStore.Stats()
 }
 
-// jobShards and jobPlacementMode are sweep-wide scheduling overrides
-// (SetJobScheduling): every engine job whose config leaves the knob at its
-// zero value inherits them. Pure scheduling — results are byte-identical
-// regardless — so neither enters a job's content identity, and warm cache
-// entries stay valid across override changes.
-var (
-	jobShards        int
-	jobPlacementMode string
-)
+// jobShards is the sweep-wide shard override (SetJobScheduling): every
+// engine job whose config leaves Shards at zero inherits it. Pure
+// scheduling — results are byte-identical regardless — so it never enters a
+// job's content identity, and warm cache entries stay valid across changes.
+var jobShards int
 
-// SetJobScheduling installs sweep-wide scheduling overrides: shards forces
+// SetJobScheduling installs the sweep-wide shard override: shards forces
 // every engine job's shard count (0 restores the runner's core split; the
-// engine clamps per config to its component-group count), and placementMode
-// selects the dynamic placement flavor ("" restores the engine default).
-// It returns the previous pair. CLI front-ends call it once at startup.
-func SetJobScheduling(shards int, placementMode string) (int, string) {
-	prevS, prevP := jobShards, jobPlacementMode
-	jobShards, jobPlacementMode = shards, placementMode
-	return prevS, prevP
+// engine clamps per config to its component-group count). It returns the
+// previous value. CLI front-ends call it once at startup.
+func SetJobScheduling(shards int) int {
+	prev := jobShards
+	jobShards = shards
+	return prev
 }
 
 // execJob runs one job for real. sweep is the sweep's total job count, used
@@ -201,9 +196,6 @@ func execJob(r *Runner, sweep int, j Job) JobResult {
 	switch {
 	case j.Engine != nil:
 		cfg := *j.Engine
-		if cfg.PlacementMode == "" {
-			cfg.PlacementMode = jobPlacementMode
-		}
 		if cfg.Shards == 0 {
 			if jobShards > 0 {
 				cfg.Shards = jobShards

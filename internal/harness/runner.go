@@ -137,7 +137,10 @@ func (r *Runner) RunConfigs(cfgs []engine.Config) []engine.Result {
 // containment: a configuration that errors — or panics anywhere inside its
 // simulation — produces an error in its slot instead of killing the whole
 // sweep. Results and errors are parallel to cfgs; exactly one of
-// (results[i] valid, errs[i] != nil) holds per slot.
+// (results[i] valid, errs[i] != nil) holds per slot. Unlike RunConfigs,
+// which goes through the memoized RunJobs, it calls engine.Run directly and
+// consults no result store: every configuration simulates, repeats
+// included.
 func (r *Runner) RunConfigsIsolated(cfgs []engine.Config) ([]engine.Result, []error) {
 	results := make([]engine.Result, len(cfgs))
 	errs := make([]error, len(cfgs))

@@ -10,7 +10,6 @@ import (
 
 	"pifsrec/internal/engine"
 	"pifsrec/internal/report"
-	"pifsrec/internal/sim"
 	"pifsrec/internal/trace"
 )
 
@@ -119,13 +118,16 @@ func TestShardsPerConfigRejectsNoGroups(t *testing.T) {
 	NewRunner(4).ShardsPerConfig(1, 0)
 }
 
-// TestReportTablesPlacementInvariant renders a scheme sweep under forced
-// placement policies and requires byte-identical tables — the table-level
-// form of the placement-independence property.
+// TestReportTablesPlacementInvariant renders a scheme sweep at 2, 3 and 4
+// shards and at one shard per component group (every group alone on a
+// worker), with barrier elision on and off, and requires tables
+// byte-identical to the 1-shard render — the table-level form of the
+// placement-independence property.
 func TestReportTablesPlacementInvariant(t *testing.T) {
 	m := scaledRMC4()
 	tr := traceFor(trace.MetaLike, m, 1)
-	render := func(policy sim.PlacementPolicy) string {
+	const perGroup = -1 // shard count: the config's component-group count
+	render := func(shards int, noElide bool) string {
 		tbl := &report.Table{
 			Title:  "placement-invariance matrix",
 			Header: []string{"scheme", "ns/bag", "total ns", "up bytes", "buffer hit%"},
@@ -133,8 +135,11 @@ func TestReportTablesPlacementInvariant(t *testing.T) {
 		var cfgs []engine.Config
 		for _, s := range engine.Schemes() {
 			cfg := schemeConfig(s, m, tr)
-			cfg.Shards = 3
-			cfg.Placement = policy
+			cfg.Shards = shards
+			if shards == perGroup {
+				cfg.Shards = cfg.ComponentGroups()
+			}
+			cfg.DisableBarrierElision = noElide
 			cfgs = append(cfgs, cfg)
 		}
 		for _, r := range pool.RunConfigs(cfgs) {
@@ -142,20 +147,13 @@ func TestReportTablesPlacementInvariant(t *testing.T) {
 		}
 		return tbl.String()
 	}
-	base := render(nil) // dynamic cost-balanced default
-	policies := []sim.PlacementPolicy{
-		sim.OneWorkerPlacement,
-		func(weights []float64, workers int) []int32 { // reverse deal
-			out := make([]int32, len(weights))
-			for g := range out {
-				out[g] = int32((len(weights) - 1 - g) % workers)
+	base := render(1, false)
+	for _, n := range []int{2, 3, 4, perGroup} {
+		for _, noElide := range []bool{false, true} {
+			if got := render(n, noElide); got != base {
+				t.Errorf("table at shards=%d (-1: one per group) elide=%v differs from the 1-shard render:\n%s\nvs\n%s",
+					n, !noElide, got, base)
 			}
-			return out
-		},
-	}
-	for i, p := range policies {
-		if got := render(p); got != base {
-			t.Errorf("table under placement policy %d differs from the default:\n%s\nvs\n%s", i, got, base)
 		}
 	}
 }

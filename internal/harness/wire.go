@@ -42,12 +42,11 @@ const (
 	jobKindNuma   = 2
 )
 
-// EncodeJob serializes a job for the distribution wire. Jobs carrying
-// process-local state with no wire form — an engine config with a custom
-// Placement policy, or no trace — are not distributable and return an
-// error; the coordinator runs those locally. Pure-scheduling fields
-// (Shards, PlacementMode, DisableBarrierElision) are stripped: the worker
-// picks its own schedule, and results are byte-identical regardless.
+// EncodeJob serializes a job for the distribution wire. An engine job with
+// no trace is not distributable and returns an error; the coordinator runs
+// it locally. Pure-scheduling fields (Shards, DisableBarrierElision) are
+// stripped: the worker picks its own schedule, and results are
+// byte-identical regardless.
 func EncodeJob(j Job) ([]byte, error) {
 	b := make([]byte, 0, 1024)
 	b = append(b, jobWireMagic[:]...)
@@ -55,16 +54,12 @@ func EncodeJob(j Job) ([]byte, error) {
 	switch {
 	case j.Engine != nil && j.Numa == nil:
 		cfg := *j.Engine
-		if cfg.Placement != nil {
-			return nil, fmt.Errorf("harness: job with a custom Placement policy is not wire-encodable")
-		}
 		if cfg.Trace == nil {
 			return nil, fmt.Errorf("harness: job with no trace is not wire-encodable")
 		}
 		tr := cfg.Trace
 		cfg.Trace = nil
 		cfg.Shards = 0
-		cfg.PlacementMode = ""
 		cfg.DisableBarrierElision = false
 		cj, err := json.Marshal(cfg)
 		if err != nil {

@@ -36,9 +36,9 @@ func TestJobWireRoundTrip(t *testing.T) {
 				t.Errorf("%s job %d: decoded job hashes %s, want %s", id, i, got.Hex()[:12], want.Hex()[:12])
 			}
 			if dec.Engine != nil {
-				if dec.Engine.Shards != 0 || dec.Engine.PlacementMode != "" || dec.Engine.DisableBarrierElision {
+				if dec.Engine.Shards != 0 || dec.Engine.DisableBarrierElision {
 					t.Errorf("%s job %d: scheduling fields survived the wire: %+v", id, i,
-						[]any{dec.Engine.Shards, dec.Engine.PlacementMode, dec.Engine.DisableBarrierElision})
+						[]any{dec.Engine.Shards, dec.Engine.DisableBarrierElision})
 				}
 			}
 		}
@@ -60,7 +60,6 @@ func TestJobWireSchedulingStripped(t *testing.T) {
 	}
 	cfg := *base.Engine
 	cfg.Shards = 3
-	cfg.PlacementMode = "weight"
 	cfg.DisableBarrierElision = true
 	sched, err := EncodeJob(Job{Engine: &cfg})
 	if err != nil {
@@ -77,13 +76,8 @@ func TestEncodeJobRejectsNonDistributable(t *testing.T) {
 	}
 	eng := Jobs("fig12a")[0]
 	cfg := *eng.Engine
-	cfg.Placement = func(weights []float64, workers int) []int32 { return nil }
+	cfg.Trace = nil
 	if _, err := EncodeJob(Job{Engine: &cfg}); err == nil {
-		t.Error("job with a custom Placement policy encoded")
-	}
-	cfg2 := *eng.Engine
-	cfg2.Trace = nil
-	if _, err := EncodeJob(Job{Engine: &cfg2}); err == nil {
 		t.Error("job with no trace encoded")
 	}
 }

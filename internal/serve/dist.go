@@ -453,7 +453,7 @@ func (c *Coordinator) RunMissing(jobs []harness.Job, hashes []memo.Hash, localWo
 	for i := range jobs {
 		wire, err := harness.EncodeJob(jobs[i])
 		if err != nil {
-			// Not wire-encodable (custom placement policy, no trace):
+			// Not wire-encodable (no trace):
 			// coordinator-local by construction.
 			localOnly = append(localOnly, i)
 			continue

@@ -1,10 +1,12 @@
 // Package serve is the HTTP face of the long-lived sweep service behind
 // pifssim -serve: a stateless handler that answers experiment and raw-config
-// sweep requests through the harness's memoized runner. Because every job is
-// content-addressed, a warm server answers repeated sweeps from the result
-// cache and re-simulates only configs it has never seen — the interactive
-// "edit one config, re-run the sweep" loop costs one simulation, not a full
-// re-run.
+// sweep requests. Experiment requests (/v1/run) go through the harness's
+// memoized runner: every job is content-addressed, so a warm server answers
+// a repeated experiment from the result cache and re-simulates only jobs it
+// has never seen — the interactive "edit one config, re-run the sweep" loop
+// costs one simulation, not a full re-run. Raw-config sweeps (/v1/simulate)
+// do not use the cache: each request simulates every config it carries
+// (harness.Runner.RunConfigsIsolated → engine.Run), repeats included.
 //
 // Endpoints (all JSON unless noted):
 //

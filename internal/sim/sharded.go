@@ -12,15 +12,14 @@
 // placement-independent order ((deliverAt, port, seq)) and written straight
 // into the destination group's calendar as envelope events.
 //
-// Placement — which worker runs which groups — is decided per window by
-// greedy cost-balanced bin-packing: group weights are seeded from the
-// components' static CostWeight declarations and refined by per-window
-// measured event counts (each group engine's fired-event delta). Because a
-// group's event stream is confined to its own engine and the merge key never
-// mentions placement, the token-event sequence each component observes is
-// identical whether its peers share its worker or run three workers away.
-// That is what lets the figure harness pick any worker count AND any
-// placement policy and produce byte-identical tables.
+// Placement — which worker runs which groups — is decided once per run: at
+// the first Run, PlaceGroups bin-packs the groups onto the workers by their
+// static CostWeight sums, and every window files its active groups under
+// that assignment. Because a group's event stream is confined to its own
+// engine and the merge key never mentions placement, the token-event
+// sequence each component observes is identical whether its peers share its
+// worker or run three workers away. That is what lets the figure harness
+// pick any worker count and produce byte-identical tables.
 //
 // All mailbox structures are pooled: outboxes are rings reset at each
 // barrier, envelope slots and their address buffers recycle through
@@ -77,11 +76,11 @@ type outbox struct {
 }
 
 // groupState is one placement group: a private engine, its outbox, and its
-// cost bookkeeping.
+// static cost weight.
 type groupState struct {
 	eng    *Engine
 	out    outbox
-	weight float64 // static seed (sum of registered component weights)
+	weight float64 // NewGroup seed plus registered component weights
 }
 
 // Outbox is the sender-side handle links bind to.
@@ -118,13 +117,9 @@ type ShardedEngine struct {
 	gatherSrc []int32 // source group per gathered message (arena lookup)
 	inCount   []int32 // per-group incoming tally (envelope reservation)
 
-	// Placement state: an optional static policy, else per-window LPT over
-	// measured costs.
-	policy PlacementPolicy
-	placed []int32 // group -> worker under a static policy
-
-	cost      []float64 // refined per-group cost (EMA of fired events)
-	prevFired []uint64
+	// assign is the run's placement (group -> worker): PlaceGroups over the
+	// static group weights, fixed at the first Run.
+	assign []int32
 
 	// Per-window scratch (allocated once at first Run). nextAt caches each
 	// group's earliest pending-event time; it is recomputed only when the
@@ -134,29 +129,19 @@ type ShardedEngine struct {
 	dirty     []bool
 	lastSched []uint64
 	active    []int32
-	activeW   []float64
-	orderSc   []int32
-	loadSc    []float64
-	planned   []int32
-	plan      [][]int32
+	plan      [][]int32 // per worker: the window's active groups it runs
 
 	// persistent window workers (only for >1 worker on >1 core)
 	workCh []chan Tick
 	doneCh chan workerDone
 
 	// Scheduling-quality counters. Deterministic for a fixed (config,
-	// workers, placement) but NOT shard-count-invariant — invariance tests
-	// zero them before comparing results.
+	// workers) but NOT shard-count-invariant — invariance tests zero them
+	// before comparing results.
 	windowsRun    int64
 	windowsElided int64
 	envCount      int64
 	crossCount    int64
-
-	// curWorker is each group's worker under the most recent plan (static
-	// assignment when placed, zeros for one worker); workerFired accumulates
-	// fired-event deltas per worker for the fired-share stat.
-	curWorker   []int32
-	workerFired []uint64
 
 	// Barrier-elision state: a window that staged no cross-group messages
 	// skips the whole barrier sequence when every hooked component is a
@@ -166,34 +151,7 @@ type ShardedEngine struct {
 	idlers        []BarrierIdler
 	hookVeto      bool
 	barrierIdleFn func() bool
-
-	// Traffic-affinity state (dynamic multi-worker placement only): aff is a
-	// dense n x n EMA of per-window cross-group envelope counts keyed
-	// a*n+b (a < b), affPairs lists the live keys, affDelta/affTouched stage
-	// the current window's counts. The packer scratch below keeps the
-	// per-window affinity plan allocation-free.
-	affinity    bool
-	aff         []float64
-	affDelta    []float64
-	affIn       []bool
-	affPairs    []int
-	affTouched  []int
-	edgeSc      []AffinityEdge
-	parentSc    []int32
-	cwSc        []float64
-	rootsSc     []int32
-	groupPos    []int32
-	posStamp    []uint32
-	posStampGen uint32
 }
-
-// affMaxGroups bounds the dense affinity matrix: beyond it the engine falls
-// back to weight-only LPT rather than allocate O(n^2) floats.
-const affMaxGroups = 512
-
-// affPrune is the EMA floor below which an affinity pair is dropped from the
-// live set — stale edges decay out in a few dozen windows.
-const affPrune = 1.0 / 1024
 
 // workerDone is one worker's window-completion report; pan carries a
 // recovered panic (nil on a clean window) so a shard blowing a watchdog
@@ -214,7 +172,7 @@ func NewSharded(workers int, window Tick) *ShardedEngine {
 	if window <= 0 {
 		panic(fmt.Sprintf("sim: NewSharded with window %d", window))
 	}
-	se := &ShardedEngine{workers: workers, window: window, affinity: true}
+	se := &ShardedEngine{workers: workers, window: window}
 	se.shim = deliverShim{se}
 	return se
 }
@@ -240,24 +198,13 @@ func (se *ShardedEngine) Group(g int) *Engine { return se.groups[g].eng }
 // Window returns the conservative lookahead in ticks.
 func (se *ShardedEngine) Window() Tick { return se.window }
 
-// GroupWeight returns a group's static weight seed (its components' summed
-// CostWeight declarations plus any NewGroup seed).
+// GroupWeight returns a group's static weight (its components' summed
+// CostWeight declarations plus any NewGroup seed) — what PlaceGroups packs.
 func (se *ShardedEngine) GroupWeight(g int) float64 { return se.groups[g].weight }
-
-// MeasuredCost returns a group's refined cost estimate: the exponential
-// moving average of its per-window fired-event counts, seeded from the
-// static weight. Dynamic multi-worker placement balances these; runs that
-// never consult them (one worker, static policy) keep the seed.
-func (se *ShardedEngine) MeasuredCost(g int) float64 {
-	if se.cost == nil {
-		return se.groups[g].weight
-	}
-	return se.cost[g]
-}
 
 // Register adds a component and returns its endpoint id (assigned in
 // registration order — the order must not depend on worker count or
-// placement). The component's static weight is folded into its group's seed.
+// placement). The component's static weight is folded into its group's weight.
 func (se *ShardedEngine) Register(c Component) int32 {
 	g := c.ComponentGroup()
 	if g < 0 || int(g) >= len(se.groups) {
@@ -317,21 +264,6 @@ func (se *ShardedEngine) SetDeliver(fn func(Envelope)) { se.deliver = fn }
 // Cross-group bookkeeping — access-count merging, page-management epochs —
 // belongs here.
 func (se *ShardedEngine) SetBarrier(fn func(at Tick)) { se.barrier = fn }
-
-// SetPlacement installs a static placement policy evaluated once, at the
-// first Run, over the static group weights. The default (nil) is dynamic:
-// greedy cost-balanced bin-packing re-planned every window from measured
-// event counts. Placement is pure scheduling — results are byte-identical
-// under every policy.
-func (se *ShardedEngine) SetPlacement(p PlacementPolicy) { se.policy = p }
-
-// SetAffinityPlacement toggles traffic-affinity packing in the dynamic
-// placement (default on): when enabled, the per-window plan co-locates
-// chatty group pairs along the measured envelope-count EMA subject to the
-// cost-balance bound, falling back to weight-only LPT while no edges have
-// been observed. Pure scheduling — results are byte-identical either way.
-// Must be called before the first Run.
-func (se *ShardedEngine) SetAffinityPlacement(on bool) { se.affinity = on }
 
 // SetBarrierIdle declares when the SetBarrier hook would be a no-op: fn
 // reports true while skipping the barrier hook observes and changes
@@ -429,19 +361,8 @@ func (se *ShardedEngine) exchange() {
 			dst := o.msgs[j].dstGroup
 			se.inCount[dst]++
 			se.envCount++
-			if se.curWorker[src] != se.curWorker[dst] {
+			if se.assign[src] != se.assign[dst] {
 				se.crossCount++
-			}
-			if se.aff != nil && src != dst {
-				a, b := src, dst
-				if a > b {
-					a, b = b, a
-				}
-				k := int(a)*len(se.groups) + int(b)
-				if se.affDelta[k] == 0 {
-					se.affTouched = append(se.affTouched, k)
-				}
-				se.affDelta[k]++
 			}
 		}
 	}
@@ -462,49 +383,13 @@ func (se *ShardedEngine) exchange() {
 		se.groups[i].out.msgs = se.groups[i].out.msgs[:0]
 		se.groups[i].out.arena = se.groups[i].out.arena[:0]
 	}
-	if se.aff != nil {
-		se.updateAffinity()
-	}
-}
-
-// updateAffinity folds the window's staged pair counts into the affinity
-// EMA (same 0.75/0.25 blend as the cost EMA) and prunes pairs that decayed
-// below affPrune, keeping the live-pair list compact. The live-pair order is
-// a function of message history alone — and the packer fully re-sorts edges
-// anyway — so the resulting plans are deterministic.
-func (se *ShardedEngine) updateAffinity() {
-	w := 0
-	for _, k := range se.affPairs {
-		v := 0.75*se.aff[k] + 0.25*se.affDelta[k]
-		se.affDelta[k] = 0
-		if v < affPrune {
-			se.aff[k] = 0
-			se.affIn[k] = false
-			continue
-		}
-		se.aff[k] = v
-		se.affPairs[w] = k
-		w++
-	}
-	se.affPairs = se.affPairs[:w]
-	for _, k := range se.affTouched {
-		d := se.affDelta[k]
-		if d == 0 {
-			continue // already live: folded by the decay pass above
-		}
-		se.affDelta[k] = 0
-		se.aff[k] = 0.25 * d
-		se.affIn[k] = true
-		se.affPairs = append(se.affPairs, k)
-	}
-	se.affTouched = se.affTouched[:0]
 }
 
 // SchedStats is the scheduling-quality report of one run: how many barrier
 // windows actually ran vs. were elided, how many envelopes crossed a shard
 // boundary, and how evenly fired events spread across workers. All of it is
-// deterministic for a fixed (config, workers, placement) — so it measures
-// placement quality even where wall-clock is noise — but it is NOT
+// deterministic for a fixed (config, workers) — so it measures placement
+// quality even where wall-clock is noise — but it is NOT
 // shard-count-invariant: result-invariance comparisons must zero it.
 type SchedStats struct {
 	// Workers is the configured worker bound.
@@ -514,12 +399,13 @@ type SchedStats struct {
 	WindowsRun    int64
 	WindowsElided int64
 	// Envelopes counts every cross-group mailbox message merged;
-	// CrossShardEnvelopes the subset whose source and destination groups were
-	// planned onto different workers — the hop count placement minimizes.
+	// CrossShardEnvelopes the subset whose source and destination groups sit
+	// on different workers under the run's placement.
 	Envelopes           int64
 	CrossShardEnvelopes int64
-	// WorkerFiredShare is each worker's share of all fired events (sums to 1
-	// when any event fired) — the load-balance view.
+	// WorkerFiredShare is each worker's share of all fired events under the
+	// run's placement (sums to 1 when any event fired) — the load-balance
+	// view.
 	WorkerFiredShare []float64
 }
 
@@ -535,23 +421,8 @@ func (se *ShardedEngine) SchedStats() SchedStats {
 		WorkerFiredShare:    make([]float64, se.workers),
 	}
 	totals := make([]uint64, se.workers)
-	switch {
-	case se.workers == 1:
-		for g := range se.groups {
-			totals[0] += se.groups[g].eng.Fired()
-		}
-	case se.placed != nil:
-		for g := range se.groups {
-			totals[se.placed[g]] += se.groups[g].eng.Fired()
-		}
-	case se.curWorker != nil:
-		// Dynamic placement: windows already refined are attributed in
-		// workerFired; the tail since the last refinement goes to each
-		// group's current worker.
-		copy(totals, se.workerFired)
-		for g := range se.groups {
-			totals[se.curWorker[g]] += se.groups[g].eng.Fired() - se.prevFired[g]
-		}
+	for g, w := range se.assign {
+		totals[w] += se.groups[g].eng.Fired()
 	}
 	var sum uint64
 	for _, t := range totals {
@@ -627,7 +498,7 @@ func (se *ShardedEngine) stopWorkers() {
 }
 
 // ensureScratch sizes the per-window scratch to the group/worker counts and
-// seeds the refined costs from the static weights.
+// fixes the run's placement: PlaceGroups over the static group weights.
 func (se *ShardedEngine) ensureScratch() {
 	n := len(se.groups)
 	if len(se.nextAt) == n && len(se.plan) == se.workers {
@@ -640,123 +511,26 @@ func (se *ShardedEngine) ensureScratch() {
 		se.dirty[i] = true
 	}
 	se.active = make([]int32, 0, n)
-	se.activeW = make([]float64, 0, n)
-	se.orderSc = make([]int32, n)
-	se.loadSc = make([]float64, se.workers)
-	se.planned = make([]int32, n)
 	se.plan = make([][]int32, se.workers)
 	for w := range se.plan {
 		se.plan[w] = make([]int32, 0, n)
 	}
-	se.cost = make([]float64, n)
-	se.prevFired = make([]uint64, n)
+	weights := make([]float64, n)
 	for g := range se.groups {
-		se.cost[g] = se.groups[g].weight
-		se.prevFired[g] = se.groups[g].eng.Fired()
+		weights[g] = se.groups[g].weight
 	}
-	if se.policy != nil {
-		weights := make([]float64, n)
-		for g := range se.groups {
-			weights[g] = se.groups[g].weight
-		}
-		se.placed = se.policy(weights, se.workers)
-		if len(se.placed) != n {
-			panic(fmt.Sprintf("sim: placement policy returned %d assignments for %d groups", len(se.placed), n))
-		}
-		for g, w := range se.placed {
-			if w < 0 || int(w) >= se.workers {
-				panic(fmt.Sprintf("sim: placement policy put group %d on worker %d of %d", g, w, se.workers))
-			}
-		}
-	}
-	se.curWorker = make([]int32, n)
-	if se.placed != nil {
-		copy(se.curWorker, se.placed)
-	}
-	se.workerFired = make([]uint64, se.workers)
-	if se.affinity && se.workers > 1 && se.placed == nil && n <= affMaxGroups {
-		se.aff = make([]float64, n*n)
-		se.affDelta = make([]float64, n*n)
-		se.affIn = make([]bool, n*n)
-		se.affPairs = se.affPairs[:0]
-		se.affTouched = se.affTouched[:0]
-		se.parentSc = make([]int32, n)
-		se.cwSc = make([]float64, n)
-		se.rootsSc = make([]int32, n)
-		se.groupPos = make([]int32, n)
-		se.posStamp = make([]uint32, n)
-		se.posStampGen = 0
-	} else {
-		se.aff = nil
-	}
+	se.assign = PlaceGroups(weights, se.workers)
 }
 
-// buildPlan partitions the window's active groups across workers: a static
-// policy's assignment when installed, else greedy LPT bin-packing over the
-// measured costs.
+// buildPlan files the window's active groups under their workers.
 func (se *ShardedEngine) buildPlan() {
 	for w := range se.plan {
 		se.plan[w] = se.plan[w][:0]
 	}
-	if se.placed != nil {
-		for _, g := range se.active {
-			w := se.placed[g]
-			se.plan[w] = append(se.plan[w], g)
-		}
-		return
-	}
-	k := len(se.active)
-	se.activeW = se.activeW[:0]
 	for _, g := range se.active {
-		se.activeW = append(se.activeW, se.cost[g])
-	}
-	if !se.planAffinity(k) {
-		placeLPT(se.activeW, se.orderSc[:k], se.loadSc, se.planned[:k])
-	}
-	for i, g := range se.active {
-		w := se.planned[i]
+		w := se.assign[g]
 		se.plan[w] = append(se.plan[w], g)
-		se.curWorker[g] = w
 	}
-}
-
-// planAffinity fills planned[:k] with the traffic-affinity assignment of the
-// active groups when the affinity matrix is live and has edges between them;
-// it reports false (leaving planned untouched) when weight-only LPT should
-// run instead. Edges are projected onto active-local indices via an
-// epoch-stamped position map, then packed by placeAffinity — allocation-free
-// past the first window at each size.
-func (se *ShardedEngine) planAffinity(k int) bool {
-	if se.aff == nil || len(se.affPairs) == 0 || k < 2 {
-		return false
-	}
-	se.posStampGen++
-	if se.posStampGen == 0 {
-		for i := range se.posStamp {
-			se.posStamp[i] = 0
-		}
-		se.posStampGen = 1
-	}
-	for i, g := range se.active {
-		se.posStamp[g] = se.posStampGen
-		se.groupPos[g] = int32(i)
-	}
-	se.edgeSc = se.edgeSc[:0]
-	n := len(se.groups)
-	for _, p := range se.affPairs {
-		a, b := int32(p/n), int32(p%n)
-		if se.posStamp[a] != se.posStampGen || se.posStamp[b] != se.posStampGen {
-			continue
-		}
-		se.edgeSc = append(se.edgeSc, AffinityEdge{A: se.groupPos[a], B: se.groupPos[b], W: se.aff[p]})
-	}
-	if len(se.edgeSc) == 0 {
-		return false
-	}
-	sortAffinityEdges(se.edgeSc)
-	placeAffinity(se.activeW, se.edgeSc, se.workers,
-		se.parentSc[:k], se.cwSc[:k], se.loadSc, se.rootsSc[:k], se.planned[:k])
-	return true
 }
 
 // runWindow executes the active groups up to deadline. With one active
@@ -800,23 +574,6 @@ func (se *ShardedEngine) runWindow(deadline Tick, multi bool) {
 	}
 }
 
-// refineCosts folds each group's fired-event delta for the closed window
-// into its cost EMA — the measured refinement the next window's plan packs.
-// With one worker or a static policy no plan ever reads the costs, so the
-// per-window Fired reads are skipped and MeasuredCost stays at the seed.
-func (se *ShardedEngine) refineCosts() {
-	if se.workers == 1 || se.placed != nil {
-		return
-	}
-	for g := range se.groups {
-		f := se.groups[g].eng.Fired()
-		delta := f - se.prevFired[g]
-		se.prevFired[g] = f
-		se.workerFired[se.curWorker[g]] += delta
-		se.cost[g] = 0.75*se.cost[g] + 0.25*float64(delta)
-	}
-}
-
 // stagedCount tallies messages staged in every outbox — the elision gate's
 // hard evidence (O(groups), no synchronization: workers have joined).
 func (se *ShardedEngine) stagedCount() int {
@@ -850,7 +607,7 @@ func (se *ShardedEngine) canElide() bool {
 }
 
 // elideWindow skips the barrier sequence (exchange, WindowEnd hooks,
-// barrier, cost refinement) for a window that staged nothing. It re-verifies
+// barrier) for a window that staged nothing. It re-verifies
 // every outbox is empty and panics with *ElisionError otherwise — eliding a
 // window with a pending cross-shard envelope would silently drop it.
 func (se *ShardedEngine) elideWindow() {
@@ -883,7 +640,7 @@ func (se *ShardedEngine) Run() Tick {
 		// refreshed only when it ran last window or scheduled since (new
 		// events are the only way its earliest time moves earlier — firing
 		// and cancelling are caught the next time it runs). Everything
-		// below (window start, active set, plan) derives from this.
+		// below (window start, active set) derives from this.
 		t := MaxTick
 		for gi := range se.groups {
 			eng := se.groups[gi].eng
@@ -920,7 +677,6 @@ func (se *ShardedEngine) Run() Tick {
 			se.elideWindow()
 		} else {
 			se.windowsRun++
-			se.refineCosts()
 			se.exchange()
 			for _, c := range se.hooked {
 				c.WindowEnd(winEnd)

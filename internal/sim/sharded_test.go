@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"math/rand"
+	"fmt"
 	"testing"
 )
 
@@ -70,9 +70,10 @@ func TestMailboxDeliveryOrder(t *testing.T) {
 	}
 }
 
-// pingWorkload runs four message-bouncing endpoints (one group each) under a
-// worker count and placement policy, and returns the per-endpoint delivery
-// logs. Used by the placement-invariance tests.
+// pingWorkload runs four message-bouncing endpoints (one group each, with
+// uneven weights) on a worker count, with barrier elision on or off, and
+// returns the per-endpoint delivery logs plus the engine (for its SchedStats
+// and per-group engines). Used by the placement tests.
 type pingRecord struct {
 	at  Tick
 	ep  int32
@@ -80,7 +81,7 @@ type pingRecord struct {
 	cnt int32
 }
 
-func pingWorkload(workers int, policy PlacementPolicy) [][]pingRecord {
+func pingWorkload(workers int, elide bool) ([][]pingRecord, *ShardedEngine) {
 	const eps = 4
 	se := NewSharded(workers, 50)
 	log := make([][]pingRecord, eps)
@@ -89,8 +90,9 @@ func pingWorkload(workers int, policy PlacementPolicy) [][]pingRecord {
 		se.NewGroup(float64(1 + e)) // deliberately uneven weights
 		ports[e] = se.NewPort()
 	}
-	if policy != nil {
-		se.SetPlacement(policy)
+	if !elide {
+		// A barrier hook without an idle predicate vetoes elision.
+		se.SetBarrier(func(Tick) {})
 	}
 	se.SetDeliver(func(env Envelope) {
 		eng := se.Group(int(env.Endpoint))
@@ -119,17 +121,17 @@ func pingWorkload(workers int, policy PlacementPolicy) [][]pingRecord {
 		})
 	}
 	se.Run()
-	return log
+	return log, se
 }
 
 // TestMailboxPlacementInvariance runs the same message-driven workload at
-// several worker counts AND under adversarial placement policies — all on
-// one worker, reversed round-robin, random assignments — and requires each
-// endpoint to observe an identical message sequence. (A single global order
-// is NOT part of the contract: components in different groups may interleave
+// 2, 3 and 4 workers — 4 puts every group alone on a worker, the most-split
+// placement — with barrier elision on and off, and requires each endpoint
+// to observe the 1-worker message sequence. (A single global order is NOT
+// part of the contract: components in different groups may interleave
 // freely within a window precisely because they share no state.)
 func TestMailboxPlacementInvariance(t *testing.T) {
-	base := pingWorkload(1, nil)
+	base, _ := pingWorkload(1, true)
 	total := 0
 	for _, seq := range base {
 		total += len(seq)
@@ -137,43 +139,67 @@ func TestMailboxPlacementInvariance(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no deliveries")
 	}
-	check := func(name string, got [][]pingRecord) {
-		t.Helper()
-		for ep := range base {
-			if len(got[ep]) != len(base[ep]) {
-				t.Fatalf("%s: endpoint %d saw %d messages, want %d", name, ep, len(got[ep]), len(base[ep]))
-			}
-			for i := range base[ep] {
-				if got[ep][i] != base[ep][i] {
-					t.Fatalf("%s: endpoint %d message %d = %+v, want %+v",
-						name, ep, i, got[ep][i], base[ep][i])
+	for _, n := range []int{2, 3, 4} {
+		for _, elide := range []bool{true, false} {
+			name := fmt.Sprintf("workers=%d elide=%v", n, elide)
+			got, _ := pingWorkload(n, elide)
+			for ep := range base {
+				if len(got[ep]) != len(base[ep]) {
+					t.Fatalf("%s: endpoint %d saw %d messages, want %d", name, ep, len(got[ep]), len(base[ep]))
+				}
+				for i := range base[ep] {
+					if got[ep][i] != base[ep][i] {
+						t.Fatalf("%s: endpoint %d message %d = %+v, want %+v",
+							name, ep, i, got[ep][i], base[ep][i])
+					}
 				}
 			}
 		}
 	}
-	for _, n := range []int{2, 4} {
-		check("dynamic", pingWorkload(n, nil))
-	}
-	policies := map[string]PlacementPolicy{
-		"all-on-one": OneWorkerPlacement,
-		"reverse-round-robin": func(weights []float64, workers int) []int32 {
-			out := make([]int32, len(weights))
-			for g := range out {
-				out[g] = int32((len(weights) - g) % workers)
+}
+
+// TestSchedStatsFollowStaticPlacement pins the placement contract: the
+// PlaceGroups assignment over the static group weights holds for the whole
+// run, so SchedStats' cross-shard envelope count and per-worker fired
+// shares are exactly what that one assignment gives.
+func TestSchedStatsFollowStaticPlacement(t *testing.T) {
+	for _, workers := range []int{2, 3} {
+		log, se := pingWorkload(workers, true)
+		weights := make([]float64, se.Groups())
+		for g := range weights {
+			weights[g] = se.GroupWeight(g)
+		}
+		assign := PlaceGroups(weights, workers)
+		var envs, cross int64
+		for _, recs := range log {
+			for _, r := range recs {
+				envs++
+				if assign[r.u] != assign[r.ep] {
+					cross++
+				}
 			}
-			return out
-		},
-		"random": func(weights []float64, workers int) []int32 {
-			rng := rand.New(rand.NewSource(42))
-			out := make([]int32, len(weights))
-			for g := range out {
-				out[g] = int32(rng.Intn(workers))
+		}
+		if cross == 0 || cross == envs {
+			t.Fatalf("workers=%d: degenerate workload, %d of %d envelopes cross workers", workers, cross, envs)
+		}
+		fired := make([]uint64, workers)
+		var total uint64
+		for g, w := range assign {
+			f := se.Group(g).Fired()
+			fired[w] += f
+			total += f
+		}
+		st := se.SchedStats()
+		if st.Envelopes != envs || st.CrossShardEnvelopes != cross {
+			t.Errorf("workers=%d: %d envelopes, %d cross-shard; the static assignment %v gives %d, %d",
+				workers, st.Envelopes, st.CrossShardEnvelopes, assign, envs, cross)
+		}
+		for w := range fired {
+			if want := float64(fired[w]) / float64(total); st.WorkerFiredShare[w] != want {
+				t.Errorf("workers=%d: worker %d fired share %v, the static assignment %v gives %v",
+					workers, w, st.WorkerFiredShare[w], assign, want)
 			}
-			return out
-		},
-	}
-	for name, p := range policies {
-		check(name, pingWorkload(3, p))
+		}
 	}
 }
 
@@ -278,110 +304,6 @@ func TestMailboxLookaheadViolationPanics(t *testing.T) {
 		se.Outbox(0).Post(port, 1, 1, 20, Payload{}, nil)
 	})
 	se.Run()
-}
-
-// TestAffinityPackerCoLocatesChattyPairs drives the traffic-affinity packer
-// directly: with equal weights and one dominant edge, the chatty pair must
-// share a worker; a chain exceeding the cost-balance bound must split.
-func TestAffinityPackerCoLocatesChattyPairs(t *testing.T) {
-	weights := []float64{1, 1, 1, 1}
-	edges := []AffinityEdge{{A: 0, B: 3, W: 100}, {A: 1, B: 2, W: 1}}
-	out := PlaceGroupsWithAffinity(weights, edges, 2)
-	if out[0] != out[3] {
-		t.Errorf("chatty pair (0,3) split across workers %d/%d", out[0], out[3])
-	}
-	if out[1] != out[2] {
-		t.Errorf("secondary pair (1,2) split across workers %d/%d", out[1], out[2])
-	}
-	if out[0] == out[1] {
-		t.Errorf("both pairs on worker %d: balance bound ignored", out[0])
-	}
-
-	// A merge that would blow the cost-balance bound (total/workers * slack)
-	// must be refused even for the heaviest edge.
-	heavy := []float64{10, 10, 1, 1}
-	out = PlaceGroupsWithAffinity(heavy, []AffinityEdge{{A: 0, B: 1, W: 1000}}, 2)
-	if out[0] == out[1] {
-		t.Errorf("over-bound pair co-located: 20 on one worker of a 22-total 2-worker split")
-	}
-}
-
-// affinityWorkload runs a 6-group workload with one deliberately chatty pair
-// (groups 0 and 5 exchange 10x the traffic of everything else) on 2 workers
-// and returns the final SchedStats plus the per-endpoint delivery logs.
-func affinityWorkload(affinity bool) (SchedStats, [][]pingRecord) {
-	const eps = 6
-	se := NewSharded(2, 50)
-	log := make([][]pingRecord, eps)
-	ports := make([]int32, eps)
-	for e := 0; e < eps; e++ {
-		se.NewGroup(1)
-		ports[e] = se.NewPort()
-	}
-	se.SetAffinityPlacement(affinity)
-	se.SetDeliver(func(env Envelope) {
-		eng := se.Group(int(env.Endpoint))
-		log[env.Endpoint] = append(log[env.Endpoint],
-			pingRecord{at: env.At, ep: env.Endpoint, u: env.P.U0, cnt: env.P.U1})
-		if env.P.U1 >= 200 {
-			return
-		}
-		src := env.Endpoint
-		var dst int32
-		if src == 0 || src == 5 {
-			dst = 5 - src // the chatty pair bounces between itself
-		} else {
-			dst = (src + 1) % eps
-		}
-		cnt := env.P.U1 + 1
-		eng.At(eng.Now()+3, func() {
-			se.Outbox(int(src)).Post(ports[src], dst, dst,
-				eng.Now()+60, Payload{U0: src, U1: cnt}, nil)
-		})
-	})
-	for e := int32(0); e < eps; e++ {
-		e := e
-		eng := se.Group(int(e))
-		dst := (e + 1) % eps
-		if e == 0 {
-			dst = 5
-		}
-		eng.At(Tick(e), func() {
-			se.Outbox(int(e)).Post(ports[e], dst, dst,
-				eng.Now()+60, Payload{U0: e, U1: 0}, nil)
-		})
-	}
-	se.Run()
-	return se.SchedStats(), log
-}
-
-// TestAffinityPlacementCutsCrossShardTraffic compares the measured-affinity
-// packer against weight-only LPT on a workload with one dominant group pair:
-// the affinity run must observe the same per-endpoint message sequences
-// (placement is pure scheduling) while routing strictly fewer envelopes
-// across workers.
-func TestAffinityPlacementCutsCrossShardTraffic(t *testing.T) {
-	weight, baseLog := affinityWorkload(false)
-	aff, affLog := affinityWorkload(true)
-	for ep := range baseLog {
-		if len(affLog[ep]) != len(baseLog[ep]) {
-			t.Fatalf("endpoint %d saw %d messages under affinity, %d under weight-only",
-				ep, len(affLog[ep]), len(baseLog[ep]))
-		}
-		for i := range baseLog[ep] {
-			if affLog[ep][i] != baseLog[ep][i] {
-				t.Fatalf("endpoint %d message %d diverged: %+v vs %+v",
-					ep, i, affLog[ep][i], baseLog[ep][i])
-			}
-		}
-	}
-	if aff.Envelopes != weight.Envelopes {
-		t.Fatalf("envelope totals differ: affinity %d, weight-only %d", aff.Envelopes, weight.Envelopes)
-	}
-	if aff.CrossShardEnvelopes >= weight.CrossShardEnvelopes {
-		t.Errorf("affinity cross-shard envelopes %d not below weight-only %d (of %d total)",
-			aff.CrossShardEnvelopes, weight.CrossShardEnvelopes, weight.Envelopes)
-	}
 }
 
 // TestBarrierElisionSkipsEmptyWindows pins the empty-barrier fast path: a

@@ -2,8 +2,7 @@ package pifsrec
 
 // TestWriteBenchSnapshot regenerates BENCH_10.json, the machine-readable
 // perf snapshot of the simulator itself (event-kernel throughput, request-
-// path allocation behavior, sharded-kernel scaling, placement-matrix
-// wall-clocks, figure wall-clocks, result-cache memoization wall-clocks,
+// path allocation behavior, sharded-kernel scaling, figure wall-clocks, result-cache memoization wall-clocks,
 // distributed-sweep wall-clocks, vectorized-math kernels, numasim model
 // parity, open-loop latency-sweep tail matrix). It only runs when
 // explicitly requested, because it spends bench time:
@@ -35,7 +34,6 @@ import (
 	"pifsrec/internal/numasim"
 	"pifsrec/internal/scenario"
 	"pifsrec/internal/serve"
-	"pifsrec/internal/sim"
 	"pifsrec/internal/trace"
 	"pifsrec/internal/vecmath"
 )
@@ -72,16 +70,11 @@ type benchSnapshot struct {
 	// wall-clock scaling. Meaningful only when GOMAXPROCS covers the shard
 	// count.
 	ShardedWallMs map[string]float64 `json:"sharded_wall_ms"`
-	// PlacementWallMs is the same configuration at 4 shards under the
-	// cost-balanced dynamic default, static round-robin (PR 3's dealing),
-	// and a worst-case one-worker pile-up; byte-identical tables, pure
-	// scheduling ratios.
-	PlacementWallMs map[string]float64 `json:"placement_wall_ms"`
 	// ShardSched is the scheduling-quality matrix on the multi-switch
-	// affinity-gate configuration (2 hosts, 2 switches, 8 devices): per
-	// "shards=N/MODE" cell, the cross-shard envelope count (mailbox hops
-	// between workers), total envelopes, windows run/elided, and wall-clock.
-	// Results are byte-identical across every cell; only scheduling differs.
+	// configuration (2 hosts, 2 switches, 8 devices): per "shards=N" cell,
+	// the cross-shard envelope count (mailbox hops between workers), total
+	// envelopes, windows run/elided, and wall-clock. Results are
+	// byte-identical across every cell; only scheduling differs.
 	ShardSched map[string]schedCell `json:"shard_sched"`
 	// NumasimParityWorstPct is the worst |event-analytic|/analytic AppGBs
 	// delta across the full numasim seed sweep, in percent.
@@ -266,33 +259,8 @@ func TestWriteBenchSnapshot(t *testing.T) {
 		snap.ShardedWallMs[fmt.Sprintf("shards=%d", n)] = float64(r.NsPerOp()) / 1e6
 	}
 
-	// Placement matrix at 4 shards.
-	snap.PlacementWallMs = map[string]float64{}
-	placements := []struct {
-		name   string
-		policy sim.PlacementPolicy
-	}{
-		{"balanced", nil},
-		{"round-robin", sim.RoundRobinPlacement},
-		{"one-worker", sim.OneWorkerPlacement},
-	}
-	for _, pl := range placements {
-		pl := pl
-		r := testing.Benchmark(func(b *testing.B) {
-			cfg := engine.Config{Scheme: engine.PIFSRec, Model: m, Trace: bigTr,
-				Seed: 3, Devices: 8, EpochBags: 16, Shards: 4, Placement: pl.policy}
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		snap.PlacementWallMs[pl.name] = float64(r.NsPerOp()) / 1e6
-	}
-
 	// Scheduling-quality matrix: cross-shard hop counts and elision stats on
-	// the multi-switch affinity-gate configuration, per shard count and
-	// placement flavor.
+	// the multi-switch configuration, per shard count.
 	snap.ShardSched = map[string]schedCell{}
 	gateTr, err := trace.Generate(trace.Spec{
 		Kind: trace.MetaLike, Tables: m.Tables, RowsPerTable: m.EmbRows,
@@ -302,28 +270,25 @@ func TestWriteBenchSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 2, 4} {
-		for _, mode := range []string{"affinity", "weight"} {
-			cfg := engine.Config{Scheme: engine.PIFSRec, Model: m, Trace: gateTr,
-				Seed: 3, Switches: 2, Devices: 8, Hosts: 2, HostParallelism: 8,
-				Shards: n, PlacementMode: mode}
-			res, err := engine.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			br := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := engine.Run(cfg); err != nil {
-						b.Fatal(err)
-					}
+		cfg := engine.Config{Scheme: engine.PIFSRec, Model: m, Trace: gateTr,
+			Seed: 3, Switches: 2, Devices: 8, Hosts: 2, HostParallelism: 8, Shards: n}
+		res, err := engine.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		br := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.Run(cfg); err != nil {
+					b.Fatal(err)
 				}
-			})
-			snap.ShardSched[fmt.Sprintf("shards=%d/%s", n, mode)] = schedCell{
-				CrossShardEnvelopes: res.Sched.CrossShardEnvelopes,
-				Envelopes:           res.Sched.Envelopes,
-				WindowsRun:          res.Sched.WindowsRun,
-				WindowsElided:       res.Sched.WindowsElided,
-				WallMs:              float64(br.NsPerOp()) / 1e6,
 			}
+		})
+		snap.ShardSched[fmt.Sprintf("shards=%d", n)] = schedCell{
+			CrossShardEnvelopes: res.Sched.CrossShardEnvelopes,
+			Envelopes:           res.Sched.Envelopes,
+			WindowsRun:          res.Sched.WindowsRun,
+			WindowsElided:       res.Sched.WindowsElided,
+			WallMs:              float64(br.NsPerOp()) / 1e6,
 		}
 	}
 
